@@ -7,13 +7,10 @@ from .components import (  # noqa: E402,F401
     Lesion,
     LesionSet,
     find_connected_components,
-    lesion_stats,
 )
 from .matching import (  # noqa: E402,F401
     CandidatePair,
     MatchSet,
-    bbox_overlap,
-    compute_iou,
     generate_candidates,
     greedy_match,
     match_lesions,
@@ -26,7 +23,6 @@ from .metrics import (  # noqa: E402,F401
     compute_image_metrics,
     compute_instance_metrics,
     compute_lesion_metrics,
-    dice,
     hd95,
     surface_voxels,
 )

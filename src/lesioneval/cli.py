@@ -82,7 +82,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
             distance_units=args.distance_units,
             hd95_variant=args.hd95_variant,
             binarize_threshold=args.threshold,
-            output_dir=args.out,
             parallelism=args.jobs,
         )
     except ValueError as e:
@@ -165,12 +164,11 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     print(f"dims: {vol.dims[0]} x {vol.dims[1]} x {vol.dims[2]}")
     print(f"spacing (mm): {vol.spacing[0]:g} x {vol.spacing[1]:g} x {vol.spacing[2]:g}")
     print(f"foreground voxels: {mask.foreground_count()}")
-    for conn in (6, 18, 26):
-        ls = find_connected_components(mask, conn)
+    by_conn = {conn: find_connected_components(mask, conn) for conn in (6, 18, 26)}
+    for conn, ls in by_conn.items():
         print(f"lesions (connectivity {conn}): {len(ls)}")
-    ls = find_connected_components(mask, 6)
     counts = {name: 0 for name in BIN_NAMES}
-    for l in ls.lesions:
+    for l in by_conn[6].lesions:
         counts[categorize(l.volume_vox).name] += 1
     for name in BIN_NAMES:
         print(f"  {name}: {counts[name]}")

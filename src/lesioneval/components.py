@@ -15,14 +15,12 @@ _STRUCT_RANK = {6: 1, 18: 2, 26: 3}
 
 @dataclass(frozen=True)
 class Lesion:
-    """One connected component of foreground voxels."""
+    """One connected component: its id in the label map and its box there."""
 
     id: int
-    voxels: np.ndarray  # (n, 3) int array of (x, y, z) indices, sorted by (z, y, x)
-    bbox: tuple[tuple[int, int, int], tuple[int, int, int]]  # inclusive corners
+    bbox: tuple[slice, slice, slice]  # tight [x, y, z] box into the label map
     volume_vox: int
     volume_mm3: float
-    centroid: tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -30,9 +28,7 @@ class LesionSet:
     """All lesions of one mask plus the integer label map (0 = background)."""
 
     lesions: list[Lesion]
-    label_map: np.ndarray  # int32, same shape as the source mask
-    dims: tuple[int, int, int]
-    spacing: tuple[float, float, float]
+    label_map: np.ndarray  # int32, indexed [x, y, z] like the source mask
 
     def __len__(self) -> int:
         return len(self.lesions)
@@ -50,58 +46,22 @@ def find_connected_components(mask: Volume, connectivity: int = 6) -> LesionSet:
     if connectivity not in _STRUCT_RANK:
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity}")
     data = mask.data
-    vals = np.unique(data)
-    if not np.all(np.isin(vals, (0, 1))):
-        raise NotBinary(f"mask contains values other than 0/1: {vals[:10]}")
+    bad = (data != 0) & (data != 1)
+    if bad.any():
+        raise NotBinary(
+            f"mask contains values other than 0/1: {np.unique(data[bad])[:10]}"
+        )
 
     structure = ndimage.generate_binary_structure(3, _STRUCT_RANK[connectivity])
-    raw_labels, n = ndimage.label(data, structure=structure)
-    voxel_count = float(np.prod(mask.spacing))
-
-    if n == 0:
-        return LesionSet([], raw_labels.astype(np.int32), mask.dims, mask.spacing)
-
-    coords = np.argwhere(data != 0)  # (F, 3) as (x, y, z)
-    # sort all foreground voxels by (z, y, x); first occurrence of each raw
-    # label in this order ranks the components
-    order = np.lexsort((coords[:, 0], coords[:, 1], coords[:, 2]))
-    coords = coords[order]
-    raw_at = raw_labels[coords[:, 0], coords[:, 1], coords[:, 2]]
-
-    remap = np.zeros(n + 1, dtype=np.int32)
-    next_id = 0
-    for lab in raw_at:
-        if remap[lab] == 0:
-            next_id += 1
-            remap[lab] = next_id
-    label_map = remap[raw_labels].astype(np.int32)
-    new_at = remap[raw_at]
+    # scipy numbers components in scan order of its input; scanning the
+    # [z, y, x] view gives the (z, y, x) numbering without a relabel
+    labels_zyx, _ = ndimage.label(data.T, structure=structure)
+    label_map = labels_zyx.T
+    voxel_mm3 = float(np.prod(mask.spacing))
 
     lesions: list[Lesion] = []
-    for lesion_id in range(1, n + 1):
-        vox = coords[new_at == lesion_id]
-        lo = vox.min(axis=0)
-        hi = vox.max(axis=0)
-        lesions.append(
-            Lesion(
-                id=lesion_id,
-                voxels=vox,
-                bbox=(tuple(int(c) for c in lo), tuple(int(c) for c in hi)),
-                volume_vox=int(len(vox)),
-                volume_mm3=len(vox) * voxel_count,
-                centroid=tuple(float(c) for c in vox.mean(axis=0)),
-            )
-        )
-    return LesionSet(lesions, label_map, mask.dims, mask.spacing)
-
-
-def lesion_stats(ls: LesionSet) -> list[tuple]:
-    """Per-lesion (id, volume_vox, volume_mm3, bbox, centroid), ordered by id."""
-    return [
-        (l.id, l.volume_vox, l.volume_mm3, l.bbox, l.centroid) for l in ls.lesions
-    ]
-
-
-def label_map_volume(ls: LesionSet) -> Volume:
-    """Wrap the label map as a writable volume for visual inspection."""
-    return Volume(ls.label_map.astype(np.int32), ls.spacing)
+    for lesion_id, box_zyx in enumerate(ndimage.find_objects(labels_zyx), start=1):
+        box = box_zyx[::-1]
+        n = int(np.count_nonzero(label_map[box] == lesion_id))
+        lesions.append(Lesion(lesion_id, box, n, n * voxel_mm3))
+    return LesionSet(lesions, label_map)

@@ -6,7 +6,7 @@ class LesionEvalError(Exception):
 
 
 class BadMagic(LesionEvalError):
-    """File is not a NIfTI-1 file (bad magic or header size)."""
+    """File is neither a NIfTI-1 file nor a JSON fixture (bad magic, header or fields)."""
 
 
 class UnsupportedDatatype(LesionEvalError):

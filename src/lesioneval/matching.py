@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .components import Lesion, LesionSet
+from .components import LesionSet
 
 DEFAULT_TAU = 0.35
 
@@ -28,59 +28,28 @@ class MatchSet:
     trace: list[str] = field(default_factory=list, repr=False)
 
 
-def bbox_overlap(a: tuple, b: tuple) -> bool:
-    """True iff the inclusive boxes intersect on all three axes."""
-    (alo, ahi), (blo, bhi) = a, b
-    return all(alo[i] <= bhi[i] and blo[i] <= ahi[i] for i in range(3))
-
-
-def compute_iou(a: Lesion, b: Lesion) -> float:
-    """|A ∩ B| / |A ∪ B| over the two voxel sets."""
-    sa = {tuple(v) for v in a.voxels}
-    sb = {tuple(v) for v in b.voxels}
-    inter = len(sa & sb)
-    union = len(sa) + len(sb) - inter
-    return inter / union if union else 0.0
-
-
 def generate_candidates(
-    gt: LesionSet,
-    pred: LesionSet,
-    tau: float = DEFAULT_TAU,
-    use_bbox_filter: bool = True,
+    gt: LesionSet, pred: LesionSet, tau: float = DEFAULT_TAU
 ) -> list[CandidatePair]:
-    """All pairs with overlapping bounding boxes and IoU strictly above tau.
+    """All overlapping pairs with IoU strictly above tau, by (gt_id, pred_id).
 
-    The bbox check is a pure accelerator: disjoint boxes imply zero IoU, so
-    disabling it (``use_bbox_filter=False``) must not change the result.
+    One joint count over the voxels that are foreground in both label maps
+    gives every pairwise intersection at once.
     """
     if not gt.lesions or not pred.lesions:
         return []
-    n_pred = len(pred.lesions)
-    pred_lo = np.array([l.bbox[0] for l in pred.lesions])
-    pred_hi = np.array([l.bbox[1] for l in pred.lesions])
-    pred_sizes = np.array([l.volume_vox for l in pred.lesions])
-    label_map = pred.label_map
-
+    g, p = gt.label_map, pred.label_map
+    both = (g != 0) & (p != 0)
+    stride = len(pred.lesions) + 1
+    keys, counts = np.unique(
+        g[both].astype(np.int64) * stride + p[both], return_counts=True
+    )
     out: list[CandidatePair] = []
-    for g in gt.lesions:
-        if use_bbox_filter:
-            lo, hi = np.array(g.bbox[0]), np.array(g.bbox[1])
-            ok = np.all((pred_lo <= hi) & (lo <= pred_hi), axis=1)
-            cand_ids = np.nonzero(ok)[0] + 1
-        else:
-            cand_ids = np.arange(1, n_pred + 1)
-        if len(cand_ids) == 0:
-            continue
-        vox = g.voxels
-        hits = label_map[vox[:, 0], vox[:, 1], vox[:, 2]]
-        inter = np.bincount(hits, minlength=n_pred + 1)
-        for pid in cand_ids:
-            i = int(inter[pid])
-            union = g.volume_vox + int(pred_sizes[pid - 1]) - i
-            iou = i / union if union else 0.0
-            if iou > tau:
-                out.append(CandidatePair(g.id, int(pid), iou))
+    for key, inter in zip(keys.tolist(), counts.tolist()):
+        gid, pid = divmod(key, stride)
+        iou = inter / (gt.by_id(gid).volume_vox + pred.by_id(pid).volume_vox - inter)
+        if iou > tau:
+            out.append(CandidatePair(gid, pid, iou))
     return out
 
 

@@ -7,12 +7,10 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .components import Lesion, LesionSet
+from .components import LesionSet
 from .errors import EmptySet
 from .matching import MatchSet
 from .volume import Volume
-
-HD95_VARIANTS = ("pooled", "max-of-directed")
 
 
 @dataclass(frozen=True)
@@ -47,14 +45,6 @@ class ImageMetrics:
     pred_total_vox: int
 
 
-def dice(a: set | frozenset, b: set | frozenset) -> float | None:
-    """2|A∩B| / (|A|+|B|); None when both sets are empty."""
-    total = len(a) + len(b)
-    if total == 0:
-        return None
-    return 2.0 * len(a & b) / total
-
-
 def _dice_counts(inter: int, na: int, nb: int) -> float | None:
     total = na + nb
     if total == 0:
@@ -62,99 +52,105 @@ def _dice_counts(inter: int, na: int, nb: int) -> float | None:
     return 2.0 * inter / total
 
 
-def _voxels_to_mask(voxels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pack a voxel list into a tight zero-padded sub-array; returns (mask, origin)."""
-    lo = voxels.min(axis=0)
-    shape = voxels.max(axis=0) - lo + 1
-    mask = np.zeros(shape, dtype=bool)
-    rel = voxels - lo
-    mask[rel[:, 0], rel[:, 1], rel[:, 2]] = True
-    return mask, lo
-
-
 _FACE_STRUCT = ndimage.generate_binary_structure(3, 1)
 
 
-def _surface_from_mask(mask: np.ndarray) -> np.ndarray:
-    """(n, 3) coordinates of voxels with at least one 6-neighbor outside."""
-    eroded = ndimage.binary_erosion(mask, structure=_FACE_STRUCT, border_value=0)
-    return np.argwhere(mask & ~eroded)
+def _surface(mask: np.ndarray, origin) -> np.ndarray:
+    """Grid coordinates of mask voxels with a 6-neighbor outside the mask.
 
-
-def surface_voxels(voxels: np.ndarray, dims: tuple | None = None) -> np.ndarray:
-    """Border voxels of a set: those with a 6-neighbor outside the set.
-
-    The grid boundary counts as outside, so a voxel on the edge of ``dims``
-    is always on the surface.
+    The edge of the array counts as outside.
     """
-    voxels = np.asarray(voxels)
-    if len(voxels) == 0:
-        raise EmptySet("surface of an empty voxel set")
-    mask, lo = _voxels_to_mask(voxels)
-    return _surface_from_mask(mask) + lo
+    eroded = ndimage.binary_erosion(mask, structure=_FACE_STRUCT, border_value=0)
+    return np.argwhere(mask & ~eroded) + origin
 
 
-def _directed_distances(
-    a_surf: np.ndarray, b_surf: np.ndarray, spacing: tuple
-) -> np.ndarray:
-    """Distance in mm from each surface voxel of A to the nearest of B."""
+def _surface_distances(
+    a: np.ndarray, b: np.ndarray, origin, spacing: tuple, variant: str
+) -> tuple[float, float]:
+    """(HD95, ASSD) between two non-empty masks cut from one grid at ``origin``.
+
+    HD95 is the 95th percentile (linear interpolation) of the pooled
+    symmetric surface distances, or the larger of the two directed ones;
+    ASSD is the mean of the pooled distances.
+    """
     sp = np.asarray(spacing, dtype=float)
-    tree = cKDTree(b_surf * sp)
-    d, _ = tree.query(a_surf * sp, k=1)
-    return np.atleast_1d(d)
+    a_pts = _surface(a, origin) * sp
+    b_pts = _surface(b, origin) * sp
+    d_ab = np.atleast_1d(cKDTree(b_pts).query(a_pts, k=1)[0])
+    d_ba = np.atleast_1d(cKDTree(a_pts).query(b_pts, k=1)[0])
+    pooled = np.concatenate([d_ab, d_ba])
+    if variant == "pooled":
+        hd = float(np.percentile(pooled, 95))
+    elif variant == "max-of-directed":
+        hd = float(max(np.percentile(d_ab, 95), np.percentile(d_ba, 95)))
+    else:
+        raise ValueError(f"unknown hd95 variant {variant!r}")
+    return hd, float(pooled.mean())
 
 
-def _pooled_surface_distances(
-    a: np.ndarray, b: np.ndarray, spacing: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if len(a) == 0 or len(b) == 0:
-        raise EmptySet("surface distance on an empty voxel set")
-    a_surf = surface_voxels(a)
-    b_surf = surface_voxels(b)
-    return (
-        _directed_distances(a_surf, b_surf, spacing),
-        _directed_distances(b_surf, a_surf, spacing),
-    )
+def _voxel_masks(*voxel_lists: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Paint (n, 3) voxel lists onto one tight shared grid; returns (masks, origin)."""
+    lists = [np.asarray(v) for v in voxel_lists]
+    if any(len(v) == 0 for v in lists):
+        raise EmptySet("surface of an empty voxel set")
+    stacked = np.concatenate(lists)
+    lo = stacked.min(axis=0)
+    shape = stacked.max(axis=0) - lo + 1
+    masks = []
+    for v in lists:
+        mask = np.zeros(shape, dtype=bool)
+        rel = v - lo
+        mask[rel[:, 0], rel[:, 1], rel[:, 2]] = True
+        masks.append(mask)
+    return masks, lo
+
+
+def surface_voxels(voxels: np.ndarray) -> np.ndarray:
+    """Border voxels of a set: those with a 6-neighbor outside the set."""
+    (mask,), lo = _voxel_masks(voxels)
+    return _surface(mask, lo)
 
 
 def hd95(
     a: np.ndarray, b: np.ndarray, spacing: tuple, variant: str = "pooled"
 ) -> float:
     """95th percentile (linear interpolation) of symmetric surface distances."""
-    if variant not in HD95_VARIANTS:
-        raise ValueError(f"unknown hd95 variant {variant!r}")
-    d_ab, d_ba = _pooled_surface_distances(a, b, spacing)
-    if variant == "pooled":
-        return float(np.percentile(np.concatenate([d_ab, d_ba]), 95))
-    return float(max(np.percentile(d_ab, 95), np.percentile(d_ba, 95)))
+    (ma, mb), lo = _voxel_masks(a, b)
+    return _surface_distances(ma, mb, lo, spacing, variant)[0]
 
 
 def assd(a: np.ndarray, b: np.ndarray, spacing: tuple) -> float:
     """Mean of the pooled symmetric surface-distance multiset."""
-    d_ab, d_ba = _pooled_surface_distances(a, b, spacing)
-    return float(np.concatenate([d_ab, d_ba]).mean())
+    (ma, mb), lo = _voxel_masks(a, b)
+    return _surface_distances(ma, mb, lo, spacing, "pooled")[1]
 
 
 def compute_lesion_metrics(
-    g: Lesion,
-    p: Lesion,
+    gt: LesionSet,
+    pred: LesionSet,
+    gt_id: int,
+    pred_id: int,
     spacing: tuple,
     hd95_variant: str = "pooled",
 ) -> LesionPairMetrics:
-    """All per-pair metrics for a matched GT/prediction lesion pair."""
-    sg = {tuple(v) for v in g.voxels}
-    sp = {tuple(v) for v in p.voxels}
-    inter = len(sg & sp)
-    union = len(sg) + len(sp) - inter
-    iou = inter / union if union else 0.0
+    """All per-pair metrics for a matched GT/prediction lesion pair.
+
+    Both lesions are cut from their label maps over the union of their boxes.
+    """
+    g, p = gt.by_id(gt_id), pred.by_id(pred_id)
+    box = tuple(
+        slice(min(a.start, b.start), max(a.stop, b.stop)) for a, b in zip(g.bbox, p.bbox)
+    )
+    gm = gt.label_map[box] == gt_id
+    pm = pred.label_map[box] == pred_id
+    inter = int(np.count_nonzero(gm & pm))
+    origin = np.array([s.start for s in box])
     return LesionPairMetrics(
-        gt_id=g.id,
-        pred_id=p.id,
-        dice=_dice_counts(inter, len(sg), len(sp)),
-        iou=iou,
-        hd95_mm=hd95(g.voxels, p.voxels, spacing, hd95_variant),
+        gt_id=gt_id,
+        pred_id=pred_id,
+        dice=_dice_counts(inter, g.volume_vox, p.volume_vox),
+        iou=inter / (g.volume_vox + p.volume_vox - inter),
+        hd95_mm=_surface_distances(gm, pm, origin, spacing, hd95_variant)[0],
         gt_vox=g.volume_vox,
         pred_vox=p.volume_vox,
         volume_error_rel=(p.volume_vox - g.volume_vox) / g.volume_vox,
@@ -203,14 +199,5 @@ def compute_image_metrics(
     voxel_dice = _dice_counts(int((g & p).sum()), n_g, n_p)
     voxel_hd95 = assd_mm = None
     if n_g > 0 and n_p > 0:
-        g_surf = _surface_from_mask(g)
-        p_surf = _surface_from_mask(p)
-        d_gp = _directed_distances(g_surf, p_surf, sp)
-        d_pg = _directed_distances(p_surf, g_surf, sp)
-        pooled = np.concatenate([d_gp, d_pg])
-        if hd95_variant == "pooled":
-            voxel_hd95 = float(np.percentile(pooled, 95))
-        else:
-            voxel_hd95 = float(max(np.percentile(d_gp, 95), np.percentile(d_pg, 95)))
-        assd_mm = float(pooled.mean())
+        voxel_hd95, assd_mm = _surface_distances(g, p, 0, sp, hd95_variant)
     return ImageMetrics(voxel_dice, voxel_hd95, assd_mm, n_g, n_p)

@@ -131,12 +131,18 @@ def _read_nifti(path: str) -> Volume:
 def _read_json_fixture(path: str) -> Volume:
     try:
         with open(path) as f:
-            obj = json.load(f)
+            text = f.read()
     except OSError as e:
         raise IoFailure(f"cannot read {path}: {e}") from e
-    dims = tuple(int(d) for d in obj["dims"])
-    spacing = tuple(float(s) for s in obj["spacing"])
-    flat = np.asarray(obj["data"], dtype=np.uint8)
+    try:
+        obj = json.loads(text)
+        dims = tuple(int(d) for d in obj["dims"])
+        spacing = tuple(float(s) for s in obj["spacing"])
+        flat = np.asarray(obj["data"], dtype=np.uint8)
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
+        raise BadMagic(f"{path}: not a JSON fixture: {type(e).__name__}: {e}") from e
+    if len(dims) != 3 or len(spacing) != 3:
+        raise BadMagic(f"{path}: dims and spacing need three entries each")
     if flat.size != dims[0] * dims[1] * dims[2]:
         raise TruncatedFile(f"{path}: data length {flat.size} != product of dims {dims}")
     data = flat.reshape(dims, order="F")

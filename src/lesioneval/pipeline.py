@@ -25,7 +25,6 @@ class RunConfig:
     distance_units: str = "mm"  # mm | voxels
     hd95_variant: str = "pooled"  # pooled | max-of-directed
     binarize_threshold: float = 0.5
-    output_dir: str = "lesioneval-out"
     parallelism: int = 1
 
     def __post_init__(self) -> None:
@@ -87,9 +86,7 @@ def evaluate_pair(
     pred_ls = find_connected_components(pred_bin, config.connectivity)
     match = match_lesions(gt_ls, pred_ls, config.tau, with_trace=with_trace)
     pairs = [
-        compute_lesion_metrics(
-            gt_ls.by_id(g), pred_ls.by_id(p), spacing, config.hd95_variant
-        )
+        compute_lesion_metrics(gt_ls, pred_ls, g, p, spacing, config.hd95_variant)
         for g, p, _ in sorted(match.matches, key=lambda m: m[0])
     ]
     detection = compute_instance_metrics(gt_ls, pred_ls, match)
@@ -134,9 +131,18 @@ def read_manifest(path: str) -> list[ManifestRow]:
             rows = []
             seen: set[str] = set()
             for rec in reader:
-                sid = (rec["sample_id"] or "").strip()
+                if None in rec.values():
+                    raise ManifestParseError(
+                        f"{path}: line {reader.line_num} has a missing cell"
+                    )
+                sid = rec["sample_id"].strip()
                 if not sid:
                     raise ManifestParseError(f"{path}: empty sample_id")
+                # sample ids name report files, so they must not leave samples/
+                if sid in (".", "..") or "/" in sid or "\\" in sid:
+                    raise ManifestParseError(
+                        f"{path}: sample_id {sid!r} is not a plain file name"
+                    )
                 if sid in seen:
                     raise ManifestParseError(f"{path}: duplicate sample_id {sid!r}")
                 seen.add(sid)

@@ -167,24 +167,25 @@ def rollup(samples: list[SampleResult]) -> dict[str, dict[str, BinAggregate]]:
     out: dict[str, dict[str, BinAggregate]] = {}
     for tag in sorted(groups):
         members = groups[tag]
+        dices: dict[str, list[float]] = {name: [] for name in BIN_NAMES}
+        hd95s: dict[str, list[float]] = {name: [] for name in BIN_NAMES}
+        for s in members:
+            for r in s.records:
+                if r.status == "TP":
+                    dices[r.size_bin].append(r.dice)
+                    hd95s[r.size_bin].append(r.hd95)
         per_bin: dict[str, BinAggregate] = {}
         for name in BIN_NAMES:
             n_gt = tp = fp = fn = 0
-            dices: list[float] = []
-            hd95s: list[float] = []
             for s in members:
                 b = s.per_bin[name]
                 n_gt += b.n_gt
                 tp += b.tp
                 fp += b.fp
                 fn += b.fn
-                for r in s.records:
-                    if r.status == "TP" and r.size_bin == name:
-                        dices.append(r.dice)
-                        hd95s.append(r.hd95)
             precision, recall, f1 = detection_rates(tp, fp, fn)
-            dm, dmed = _aggregate(dices)
-            hm, hmed = _aggregate(hd95s)
+            dm, dmed = _aggregate(dices[name])
+            hm, hmed = _aggregate(hd95s[name])
             per_bin[name] = BinAggregate(
                 n_gt=n_gt, tp=tp, fp=fp, fn=fn,
                 precision=precision, recall=recall, f1=f1,

@@ -26,6 +26,14 @@ def mask_from_voxels(voxels, dims, spacing=(1.0, 1.0, 1.0)) -> Volume:
     return Volume(arr, spacing, binary=True)
 
 
+def lesion_voxel_sets(ls) -> list[frozenset]:
+    """Each lesion's (x, y, z) voxels, read from the label map, in id order."""
+    return [
+        frozenset(map(tuple, np.argwhere(ls.label_map == l.id).tolist()))
+        for l in ls.lesions
+    ]
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

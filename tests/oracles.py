@@ -2,8 +2,8 @@
 
 Deliberately share no code with the production modules: flood-fill BFS
 instead of labeled-array components, a full IoU table instead of the
-bbox-filtered candidate scan, and exhaustive pairwise distances instead of
-nearest-neighbor queries.
+joint label-count candidate scan, and exhaustive pairwise distances
+instead of nearest-neighbor queries.
 """
 from __future__ import annotations
 

@@ -10,18 +10,18 @@ import time
 import numpy as np
 import pytest
 
-from conftest import mask_from_voxels, random_blob_mask
+from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask
 from lesioneval.cli import main
 from lesioneval.components import find_connected_components
 from lesioneval.matching import generate_candidates, match_lesions
 from lesioneval.metrics import assd, compute_image_metrics, compute_lesion_metrics, hd95
 from lesioneval.nifti import read_volume, write_volume
-from lesioneval.oracles import brute_surface_distances, flood_fill_components, naive_match
 from lesioneval.pipeline import RunConfig, evaluate_pair
 from lesioneval.report import emit_reports
 from lesioneval.stratify import BIN_NAMES, categorize
 from lesioneval.synth import SynthParams, generate_case
 from lesioneval.volume import Volume
+from oracles import brute_surface_distances, flood_fill_components, naive_match
 
 
 def _ok(n: int, label: str) -> None:
@@ -36,12 +36,12 @@ def test_criterion_01_matching_oracle_equivalence():
         density = rng.uniform(0.05, 0.4)
         gt = find_connected_components(random_blob_mask(rng, (side,) * 3, density))
         pred = find_connected_components(random_blob_mask(rng, (side,) * 3, density))
-        gsets = [frozenset(map(tuple, l.voxels)) for l in gt.lesions]
-        psets = [frozenset(map(tuple, l.voxels)) for l in pred.lesions]
+        gsets = lesion_voxel_sets(gt)
+        psets = lesion_voxel_sets(pred)
         for tau in (0.1, 0.35, 0.6):
             m = match_lesions(gt, pred, tau)
             om, ofn, ofp = naive_match(gsets, psets, tau)
-            assert [(g, p) for g, p, _ in m.matches] == [(g, p) for g, p, _ in om]
+            assert m.matches == om  # (gt_id, pred_id, iou) triples, IoU exact
             assert m.unmatched_gt == ofn
             assert m.unmatched_pred == ofp
     elapsed = time.perf_counter() - t0
@@ -54,11 +54,11 @@ def test_criterion_02_cca_oracle_equivalence():
     for _ in range(500):
         dims = tuple(int(rng.integers(6, 18)) for _ in range(3))
         v = random_blob_mask(rng, dims, rng.uniform(0.1, 0.5))
-        vox = {tuple(c) for c in np.argwhere(v.data != 0)}
+        vox = {tuple(c) for c in np.argwhere(v.data != 0).tolist()}
         for conn in (6, 18, 26):
             ls = find_connected_components(v, conn)
-            got = {frozenset(map(tuple, l.voxels)) for l in ls.lesions}
-            assert got == set(flood_fill_components(vox, conn))
+            # ordered lists: the (z, y, x) numbering must match too
+            assert lesion_voxel_sets(ls) == flood_fill_components(vox, conn)
     _ok(2, "connected-component oracle equivalence")
 
 
@@ -90,9 +90,14 @@ def test_criterion_04_dice_iou_identity():
     for _ in range(150):
         gt = find_connected_components(random_blob_mask(rng, (16, 16, 16), 0.25))
         pred = find_connected_components(random_blob_mask(rng, (16, 16, 16), 0.25))
+        gsets = lesion_voxel_sets(gt)
+        psets = lesion_voxel_sets(pred)
         for g, p, _ in match_lesions(gt, pred, 0.1).matches:
-            m = compute_lesion_metrics(gt.by_id(g), pred.by_id(p), (1, 1, 1))
+            m = compute_lesion_metrics(gt, pred, g, p, (1, 1, 1))
             assert abs(m.dice - 2 * m.iou / (1 + m.iou)) < 1e-12
+            a, b = gsets[g - 1], psets[p - 1]
+            assert m.iou == len(a & b) / len(a | b)
+            assert m.dice == 2 * len(a & b) / (len(a) + len(b))
             checked += 1
     assert checked > 100
     _ok(4, "dice-IoU identity")

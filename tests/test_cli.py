@@ -2,10 +2,13 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from conftest import random_blob_mask
 from lesioneval.cli import main
+from lesioneval.errors import ManifestParseError
 from lesioneval.nifti import write_volume
+from lesioneval.pipeline import read_manifest
 from lesioneval.synth import SynthParams, generate_case
 
 
@@ -199,3 +202,47 @@ def test_provenance_in_reports(tmp_path):
     assert summary["config"]["tau"] == 0.4
     assert summary["config"]["connectivity"] == 26
     assert summary["tool_version"]
+
+
+def test_malformed_json_fixture_fails_one_sample(tmp_path, capsys):
+    (tmp_path / "good.json").write_text(
+        '{"dims": [2, 1, 1], "spacing": [1, 1, 1], "data": [1, 0]}'
+    )
+    (tmp_path / "bad.json").write_text('{"dims": [2, 1, 1], "data": [1, 0]}')
+    manifest = _write_manifest(
+        tmp_path, [["good", "good.json", "good.json"], ["bad", "bad.json", "bad.json"]]
+    )
+    out = tmp_path / "out"
+    code = main(["evaluate", "--manifest", str(manifest), "--out", str(out)])
+    assert code == 2
+    summary = json.load(open(out / "summary.json"))
+    assert summary["samples"] == ["good"]
+    assert [f["sample_id"] for f in summary["failures"]] == ["bad"]
+    assert "FAILED bad" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "bad_row",
+    [
+        ["sub/dir", "b_gt.nii.gz", "b_pred.nii.gz"],
+        ["sub\\dir", "b_gt.nii.gz", "b_pred.nii.gz"],
+        ["../escape", "b_gt.nii.gz", "b_pred.nii.gz"],
+        ["..", "b_gt.nii.gz", "b_pred.nii.gz"],
+        [".", "b_gt.nii.gz", "b_pred.nii.gz"],
+        ["short", "b_gt.nii.gz"],
+    ],
+    ids=["slash", "backslash", "parent-escape", "dotdot", "dot", "short-row"],
+)
+def test_bad_manifest_row_rejected(tmp_path, capsys, bad_row):
+    rng = np.random.default_rng(8)
+    a = _make_pair(tmp_path, "a", rng)
+    _make_pair(tmp_path, "b", rng)
+    c = _make_pair(tmp_path, "c", rng)
+    manifest = _write_manifest(tmp_path, [["a", *a], bad_row, ["c", *c]])
+    with pytest.raises(ManifestParseError):
+        read_manifest(str(manifest))
+    out = tmp_path / "run" / "out"
+    code = main(["evaluate", "--manifest", str(manifest), "--out", str(out)])
+    assert code == 1
+    assert not (tmp_path / "run").exists()
+    assert str(manifest) in capsys.readouterr().err

@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import mask_from_voxels, random_blob_mask
-from lesioneval.components import (
-    find_connected_components,
-    label_map_volume,
-    lesion_stats,
-)
+from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask
+from lesioneval.components import find_connected_components
 from lesioneval.errors import NotBinary
-from lesioneval.oracles import flood_fill_components
+from oracles import flood_fill_components
 from lesioneval.volume import Volume
 
 
@@ -16,13 +12,16 @@ def test_empty_mask():
     v = Volume(np.zeros((4, 4, 4), dtype=np.uint8), (1, 1, 1), binary=True)
     ls = find_connected_components(v)
     assert len(ls) == 0
-    assert lesion_stats(ls) == []
+    assert ls.lesions == []
+    assert not ls.label_map.any()
 
 
 def test_not_binary_rejected():
-    v = Volume(np.full((2, 2, 2), 3, dtype=np.uint8), (1, 1, 1))
-    with pytest.raises(NotBinary):
-        find_connected_components(v)
+    for dtype, value in ((np.uint8, 3), (np.float64, 0.5), (np.float64, np.nan)):
+        arr = np.zeros((2, 2, 2), dtype=dtype)
+        arr[1, 0, 1] = value
+        with pytest.raises(NotBinary):
+            find_connected_components(Volume(arr, (1, 1, 1)))
 
 
 def test_diagonal_voxels_by_connectivity():
@@ -46,16 +45,14 @@ def test_centered_cube():
     assert len(ls) == 1
     l = ls.lesions[0]
     assert l.volume_vox == 27
-    assert l.bbox == ((1, 1, 1), (3, 3, 3))
-    assert l.centroid == (2.0, 2.0, 2.0)
+    assert l.bbox == (slice(1, 4),) * 3
 
 
 def test_label_ordering_is_zyx_lexicographic():
     # lesion A starts at z=1, lesion B at z=0: B must get id 1
     v = mask_from_voxels([(0, 0, 1), (3, 3, 0)], (5, 5, 5))
     ls = find_connected_components(v)
-    assert ls.lesions[0].voxels.tolist() == [[3, 3, 0]]
-    assert ls.lesions[1].voxels.tolist() == [[0, 0, 1]]
+    assert lesion_voxel_sets(ls) == [frozenset({(3, 3, 0)}), frozenset({(0, 0, 1)})]
 
 
 def test_volume_mm3_uses_spacing():
@@ -67,11 +64,9 @@ def test_volume_mm3_uses_spacing():
 
 def test_single_voxel_stats():
     v = mask_from_voxels([(2, 3, 4)], (6, 6, 6))
-    (rec,) = lesion_stats(find_connected_components(v))
-    lesion_id, vox, mm3, bbox, centroid = rec
-    assert (lesion_id, vox, mm3) == (1, 1, 1.0)
-    assert bbox == ((2, 3, 4), (2, 3, 4))
-    assert centroid == (2.0, 3.0, 4.0)
+    (l,) = find_connected_components(v).lesions
+    assert (l.id, l.volume_vox, l.volume_mm3) == (1, 1, 1.0)
+    assert l.bbox == (slice(2, 3), slice(3, 4), slice(4, 5))
 
 
 def test_partition_property(rng):
@@ -79,11 +74,13 @@ def test_partition_property(rng):
         v = random_blob_mask(rng, (16, 16, 16), rng.uniform(0.1, 0.5))
         ls = find_connected_components(v, 6)
         assert sum(l.volume_vox for l in ls.lesions) == v.foreground_count()
-        # label_map agrees with the lesion voxel lists
-        for l in ls.lesions:
-            assert np.all(
-                ls.label_map[l.voxels[:, 0], l.voxels[:, 1], l.voxels[:, 2]] == l.id
-            )
+        assert np.array_equal(ls.label_map != 0, v.data != 0)
+        # each lesion lies wholly inside its box, which is tight
+        for l, vox in zip(ls.lesions, lesion_voxel_sets(ls)):
+            arr = np.array(sorted(vox))
+            lo, hi = arr.min(axis=0), arr.max(axis=0) + 1
+            assert l.bbox == tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
+            assert l.volume_vox == len(vox)
 
 
 def test_determinism(rng):
@@ -108,10 +105,9 @@ def test_oracle_equivalence_small_grids(rng, connectivity):
         dims = tuple(int(rng.integers(4, 14)) for _ in range(3))
         v = random_blob_mask(rng, dims, rng.uniform(0.1, 0.5))
         ls = find_connected_components(v, connectivity)
-        got = {frozenset(map(tuple, l.voxels)) for l in ls.lesions}
-        vox = {tuple(c) for c in np.argwhere(v.data != 0)}
-        want = set(flood_fill_components(vox, connectivity))
-        assert got == want
+        vox = {tuple(c) for c in np.argwhere(v.data != 0).tolist()}
+        assert lesion_voxel_sets(ls) == flood_fill_components(vox, connectivity)
+
 
 
 def test_label_map_volume_dump(tmp_path):
@@ -119,8 +115,8 @@ def test_label_map_volume_dump(tmp_path):
 
     v = mask_from_voxels([(0, 0, 0), (3, 3, 3)], (4, 4, 4))
     ls = find_connected_components(v)
-    dump = label_map_volume(ls)
     p = tmp_path / "labels.nii"
-    write_volume(dump, str(p))
+    write_volume(Volume(ls.label_map, v.spacing), str(p))
     back = read_volume(str(p))
     assert np.array_equal(back.data, ls.label_map)
+    assert back.data[3, 3, 3] == 2

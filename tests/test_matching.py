@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from conftest import mask_from_voxels, random_blob_mask
+from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask
 from lesioneval.components import find_connected_components
 from lesioneval.matching import (
     CandidatePair,
-    bbox_overlap,
-    compute_iou,
     generate_candidates,
     greedy_match,
     match_lesions,
 )
-from lesioneval.oracles import naive_match
+from oracles import naive_match
 
 SQUARE = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
 SQUARE_SHIFTED = [(1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0)]  # +1 in x
@@ -21,21 +19,13 @@ def _extract(voxels, dims=(8, 8, 2)):
     return find_connected_components(mask_from_voxels(voxels, dims))
 
 
-def test_bbox_overlap():
-    a = ((0, 0, 0), (1, 1, 1))
-    assert bbox_overlap(a, a)
-    assert not bbox_overlap(a, ((3, 0, 0), (4, 1, 1)))
-    # touching at the shared plane x=1 counts (inclusive bounds)
-    assert bbox_overlap(a, ((1, 0, 0), (2, 1, 1)))
-
-
-def test_compute_iou():
-    g = _extract(SQUARE).lesions[0]
-    assert compute_iou(g, g) == 1.0
-    p = _extract(SQUARE_SHIFTED).lesions[0]
-    assert compute_iou(g, p) == pytest.approx(1 / 3)
-    q = _extract([(5, 5, 0)]).lesions[0]
-    assert compute_iou(g, q) == 0.0
+def test_candidate_iou_hand_cases():
+    g = _extract(SQUARE)
+    assert generate_candidates(g, g, tau=0.0) == [CandidatePair(1, 1, 1.0)]
+    (c,) = generate_candidates(g, _extract(SQUARE_SHIFTED), tau=0.0)
+    assert (c.gt_id, c.pred_id) == (1, 1) and c.iou == pytest.approx(1 / 3)
+    # disjoint lesions have IoU 0, which is never above tau
+    assert generate_candidates(g, _extract([(5, 5, 0)]), tau=0.0) == []
 
 
 def test_generate_candidates_threshold_strict():
@@ -61,17 +51,6 @@ def test_one_gt_two_pred_candidates():
     )
     cands = generate_candidates(gt, pred, tau=0.2)
     assert len(cands) == 2  # multiplicity allowed before matching
-
-
-def test_bbox_filter_is_pure_accelerator(rng):
-    for _ in range(20):
-        gt = find_connected_components(random_blob_mask(rng, (14, 14, 14), 0.25))
-        pred = find_connected_components(random_blob_mask(rng, (14, 14, 14), 0.25))
-        with_f = generate_candidates(gt, pred, 0.1, use_bbox_filter=True)
-        without = generate_candidates(gt, pred, 0.1, use_bbox_filter=False)
-        assert sorted((c.gt_id, c.pred_id, c.iou) for c in with_f) == sorted(
-            (c.gt_id, c.pred_id, c.iou) for c in without
-        )
 
 
 def test_greedy_locking():
@@ -144,12 +123,12 @@ def test_oracle_equivalence(rng):
     for _ in range(30):
         gt = find_connected_components(random_blob_mask(rng, (14, 14, 14), 0.25))
         pred = find_connected_components(random_blob_mask(rng, (14, 14, 14), 0.25))
-        for tau in (0.1, 0.35, 0.6):
+        gsets = lesion_voxel_sets(gt)
+        psets = lesion_voxel_sets(pred)
+        for tau in (0.0, 0.1, 0.35, 0.6):
             m = match_lesions(gt, pred, tau)
-            gsets = [frozenset(map(tuple, l.voxels)) for l in gt.lesions]
-            psets = [frozenset(map(tuple, l.voxels)) for l in pred.lesions]
             om, ofn, ofp = naive_match(gsets, psets, tau)
-            assert [(g, p) for g, p, _ in m.matches] == [(g, p) for g, p, _ in om]
+            assert m.matches == om
             assert m.unmatched_gt == ofn
             assert m.unmatched_pred == ofp
 

@@ -10,12 +10,11 @@ from lesioneval.metrics import (
     compute_image_metrics,
     compute_instance_metrics,
     compute_lesion_metrics,
-    dice,
     hd95,
     surface_voxels,
 )
-from lesioneval.oracles import brute_surface, brute_surface_distances
 from lesioneval.volume import Volume
+from oracles import brute_surface, brute_surface_distances
 
 SQUARE = {(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)}
 SQUARE_SHIFTED = {(1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0)}
@@ -23,6 +22,10 @@ SQUARE_SHIFTED = {(1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0)}
 
 def _arr(voxels):
     return np.array(sorted(voxels), dtype=int)
+
+
+def _lesions(voxels, dims=(12, 12, 12)):
+    return find_connected_components(mask_from_voxels(voxels, dims))
 
 
 def _blob_voxels(rng, dims, density):
@@ -33,19 +36,33 @@ def _blob_voxels(rng, dims, density):
     return vox
 
 
+def _image_dice(a, b, dims=(8, 8, 8)):
+    im = compute_image_metrics(mask_from_voxels(a, dims), mask_from_voxels(b, dims))
+    return im.voxel_dice
+
+
 def test_dice_basics():
-    assert dice(SQUARE, SQUARE) == 1.0
-    assert dice(SQUARE, {(5, 5, 5)}) == 0.0
-    assert dice(SQUARE, SQUARE_SHIFTED) == 0.5
-    assert dice(set(), set()) is None
-    assert dice(SQUARE, set()) == 0.0
+    assert _image_dice(SQUARE, SQUARE) == 1.0
+    assert _image_dice(SQUARE, {(5, 5, 5)}) == 0.0
+    assert _image_dice(SQUARE, SQUARE_SHIFTED) == 0.5
+    assert _image_dice(set(), set()) is None
+    assert _image_dice(SQUARE, set()) == 0.0
+    sq, shifted = _lesions(SQUARE), _lesions(SQUARE_SHIFTED)
+    assert compute_lesion_metrics(sq, sq, 1, 1, (1, 1, 1)).dice == 1.0
+    assert compute_lesion_metrics(sq, shifted, 1, 1, (1, 1, 1)).dice == 0.5
 
 
 def test_dice_symmetry(rng):
     for _ in range(10):
-        a = {tuple(v) for v in _blob_voxels(rng, (10, 10, 10), 0.2)}
-        b = {tuple(v) for v in _blob_voxels(rng, (10, 10, 10), 0.2)}
-        assert dice(a, b) == dice(b, a)
+        a = random_blob_mask(rng, (10, 10, 10), 0.2)
+        b = random_blob_mask(rng, (10, 10, 10), 0.2)
+        ab, ba = compute_image_metrics(a, b), compute_image_metrics(b, a)
+        assert ab.voxel_dice == ba.voxel_dice
+        la, lb = find_connected_components(a), find_connected_components(b)
+        for g, p, _ in match_lesions(la, lb, 0.0).matches:
+            ab = compute_lesion_metrics(la, lb, g, p, (1, 1, 1))
+            ba = compute_lesion_metrics(lb, la, p, g, (1, 1, 1))
+            assert (ab.dice, ab.iou, ab.hd95_mm) == (ba.dice, ba.iou, ba.hd95_mm)
 
 
 def test_surface_single_voxel():
@@ -139,21 +156,16 @@ def test_spacing_scaling(rng):
         )
 
 
-def _lesion(voxels, dims=(12, 12, 12)):
-    return find_connected_components(mask_from_voxels(voxels, dims)).lesions[0]
-
-
 def test_lesion_pair_identical():
-    g = _lesion(SQUARE)
-    m = compute_lesion_metrics(g, g, (1, 1, 1))
+    g = _lesions(SQUARE)
+    m = compute_lesion_metrics(g, g, 1, 1, (1, 1, 1))
     assert m.dice == 1.0 and m.hd95_mm == 0.0
     assert m.volume_error_rel == 0.0 and m.size_ratio == 1.0
 
 
 def test_lesion_pair_shifted_square():
-    g = _lesion(SQUARE)
-    p = _lesion(SQUARE_SHIFTED)
-    m = compute_lesion_metrics(g, p, (1, 1, 1))
+    g, p = _lesions(SQUARE), _lesions(SQUARE_SHIFTED)
+    m = compute_lesion_metrics(g, p, 1, 1, (1, 1, 1))
     assert m.dice == 0.5
     assert m.iou == pytest.approx(1 / 3)
     assert m.size_ratio == 1.0 and m.volume_error_rel == 0.0
@@ -162,7 +174,7 @@ def test_lesion_pair_shifted_square():
 def test_lesion_pair_nested_cubes():
     inner = [(x, y, z) for x in range(1, 4) for y in range(1, 4) for z in range(1, 4)]
     outer = [(x, y, z) for x in range(5) for y in range(5) for z in range(5)]
-    m = compute_lesion_metrics(_lesion(inner), _lesion(outer), (1, 1, 1))
+    m = compute_lesion_metrics(_lesions(inner), _lesions(outer), 1, 1, (1, 1, 1))
     assert m.size_ratio == pytest.approx(125 / 27)
     assert m.dice == pytest.approx(2 * 27 / 152)
 
@@ -173,7 +185,7 @@ def test_dice_iou_identity(rng):
         pred = find_connected_components(random_blob_mask(rng, (14, 14, 14), 0.25))
         mset = match_lesions(gt, pred, 0.1)
         for g, p, _ in mset.matches:
-            m = compute_lesion_metrics(gt.by_id(g), pred.by_id(p), (1, 1, 1))
+            m = compute_lesion_metrics(gt, pred, g, p, (1, 1, 1))
             assert abs(m.dice - 2 * m.iou / (1 + m.iou)) < 1e-12
 
 

@@ -3,33 +3,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lesioneval.matching import CandidatePair, bbox_overlap, greedy_match
+from lesioneval.matching import CandidatePair, greedy_match
 from lesioneval.stratify import SIZE_BINS, categorize
 from lesioneval.volume import Volume, binarize
-
-coords = st.tuples(
-    st.integers(0, 20), st.integers(0, 20), st.integers(0, 20)
-)
-
-
-@st.composite
-def bboxes(draw):
-    a = draw(coords)
-    b = draw(coords)
-    lo = tuple(min(x, y) for x, y in zip(a, b))
-    hi = tuple(max(x, y) for x, y in zip(a, b))
-    return (lo, hi)
-
-
-@given(bboxes(), bboxes())
-def test_bbox_overlap_symmetric(a, b):
-    assert bbox_overlap(a, b) == bbox_overlap(b, a)
-
-
-@given(bboxes())
-def test_bbox_overlaps_itself(a):
-    assert bbox_overlap(a, a)
-
 
 @given(st.integers(1, 10_000))
 def test_categorize_partitions(v):

@@ -254,3 +254,25 @@ def test_check_compatibility():
     # within relative tolerance 1e-4
     e = Volume(np.zeros((4, 4, 4), dtype=np.uint8), (1.0 + 5e-5, 1.0, 1.0))
     check_compatibility(a, e)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dims": [2, 1, 1], "data": [1, 0]}',
+        '{"spacing": [1, 1, 1], "data": [1, 0]}',
+        '{"dims": [2, 1, 1], "spacing": [1, 1, 1]}',
+        '{"dims": [2, 1, 1], "spacing": "wide", "data": [1, 0]}',
+        '{"dims": [2, 1], "spacing": [1, 1, 1], "data": [1, 0]}',
+        '{"dims": [2, 1, 1], "spacing": [1, 1], "data": [1, 0]}',
+        '{"dims": [2, 1, 1], "spacing": [1, 1, 1], "data": [1, null]}',
+        '[2, 1, 1]',
+    ],
+    ids=["no-spacing", "no-dims", "no-data", "spacing-str", "dims-2", "spacing-2",
+         "data-null", "not-object"],
+)
+def test_json_fixture_malformed_fields(tmp_path, text):
+    p = tmp_path / "m.json"
+    p.write_text(text)
+    with pytest.raises(BadMagic):
+        read_volume(str(p))
