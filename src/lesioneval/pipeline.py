@@ -68,6 +68,16 @@ class SampleFailure:
     reason: str
 
 
+def check_sample_id(sample_id: str) -> None:
+    """Raise ValueError unless ``sample_id`` is a plain file name.
+
+    Sample ids name report files, so they must not leave ``samples/``:
+    no ``/`` or ``\\``, and not ``.`` or ``..``.
+    """
+    if sample_id in (".", "..") or "/" in sample_id or "\\" in sample_id:
+        raise ValueError(f"sample_id {sample_id!r} is not a plain file name")
+
+
 def evaluate_pair(
     sample_id: str,
     gt_vol: Volume,
@@ -90,9 +100,7 @@ def evaluate_pair(
         for g, p, _ in sorted(match.matches, key=lambda m: m[0])
     ]
     detection = compute_instance_metrics(gt_ls, pred_ls, match)
-    image = compute_image_metrics(
-        gt_bin, pred_bin, config.hd95_variant, spacing=spacing
-    )
+    image = compute_image_metrics(gt_ls, pred_ls, config.hd95_variant, spacing)
     per_bin, records = stratify(gt_ls, pred_ls, match, pairs)
     return SampleResult(
         sample_id=sample_id,
@@ -131,18 +139,20 @@ def read_manifest(path: str) -> list[ManifestRow]:
             rows = []
             seen: set[str] = set()
             for rec in reader:
-                if None in rec.values():
+                # DictReader fills a short row with None values and puts the
+                # cells beyond the header in a list under the key None
+                if None in rec.values() or None in rec:
                     raise ManifestParseError(
-                        f"{path}: line {reader.line_num} has a missing cell"
+                        f"{path}: line {reader.line_num} does not have "
+                        f"{len(reader.fieldnames)} cells"
                     )
                 sid = rec["sample_id"].strip()
                 if not sid:
                     raise ManifestParseError(f"{path}: empty sample_id")
-                # sample ids name report files, so they must not leave samples/
-                if sid in (".", "..") or "/" in sid or "\\" in sid:
-                    raise ManifestParseError(
-                        f"{path}: sample_id {sid!r} is not a plain file name"
-                    )
+                try:
+                    check_sample_id(sid)
+                except ValueError as e:
+                    raise ManifestParseError(f"{path}: {e}") from e
                 if sid in seen:
                     raise ManifestParseError(f"{path}: duplicate sample_id {sid!r}")
                 seen.add(sid)

@@ -9,7 +9,7 @@ from dataclasses import asdict
 
 from . import __version__
 from .errors import IoFailure
-from .pipeline import RunConfig, SampleFailure
+from .pipeline import RunConfig, SampleFailure, check_sample_id
 from .stratify import BIN_NAMES, BinAggregate, SampleResult, rollup
 
 SCHEMA_VERSION = 1
@@ -67,7 +67,8 @@ def emit_reports(
     Output is deterministic: samples ordered by sample_id, JSON keys sorted,
     undefined metrics serialized as null (JSON) / empty cell (CSV).
     ``formats`` restricts emission to "json", "csv" or "both".
-    Returns the paths written, keyed by artifact name.
+    Returns the paths written, keyed by artifact name. Raises ValueError,
+    before writing anything, if a sample_id is not a plain file name.
     """
     if formats not in ("json", "csv", "both"):
         raise ValueError(f"formats must be json/csv/both, got {formats!r}")
@@ -75,6 +76,8 @@ def emit_reports(
     want_csv = formats in ("csv", "both")
     failures = failures or []
     samples = sorted(samples, key=lambda s: s.sample_id)
+    for s in samples:
+        check_sample_id(s.sample_id)
     try:
         os.makedirs(out_dir, exist_ok=True)
         if want_json:

@@ -159,8 +159,16 @@ def _clip(vox: np.ndarray, dims: tuple) -> np.ndarray:
 
 
 def _morph(vox: np.ndarray, dims: tuple, iterations: int, op: str) -> np.ndarray:
-    mask = np.zeros(dims, dtype=bool)
-    mask[vox[:, 0], vox[:, 1], vox[:, 2]] = True
+    """Dilate or erode a voxel set inside its box, padded by ``iterations``.
+
+    The padding holds everything a dilation can reach, and clipping it to
+    the grid keeps the grid edge as the erosion border.
+    """
+    lo = np.maximum(vox.min(axis=0) - iterations, 0)
+    hi = np.minimum(vox.max(axis=0) + iterations + 1, dims)
+    mask = np.zeros(hi - lo, dtype=bool)
+    rel = vox - lo
+    mask[rel[:, 0], rel[:, 1], rel[:, 2]] = True
     struct = ndimage.generate_binary_structure(3, 1)
     if dims[2] == 1:
         struct = struct.copy()
@@ -168,7 +176,7 @@ def _morph(vox: np.ndarray, dims: tuple, iterations: int, op: str) -> np.ndarray
         struct[1, 1, 0] = struct[1, 1, 2] = False
     fn = ndimage.binary_dilation if op == "dilate" else ndimage.binary_erosion
     out = fn(mask, structure=struct, iterations=iterations)
-    return np.argwhere(out)
+    return np.argwhere(out) + lo
 
 
 def generate_case(params: SynthParams, seed: int) -> SynthCase:

@@ -2,13 +2,18 @@
 
 Deliberately share no code with the production modules: flood-fill BFS
 instead of labeled-array components, a full IoU table instead of the
-joint label-count candidate scan, and exhaustive pairwise distances
-instead of nearest-neighbor queries.
+joint label-count candidate scan, exhaustive pairwise distances instead
+of nearest-neighbor queries, and whole-grid morphology instead of work
+inside lesion boxes.
 """
 from __future__ import annotations
 
 import math
 from collections import deque
+
+import numpy as np
+from scipy import ndimage
+from scipy.spatial import cKDTree
 
 _OFFSETS_6 = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
 
@@ -141,3 +146,46 @@ def brute_surface_distances(
         max(_percentile_linear(d_ab, 0.95), _percentile_linear(d_ba, 0.95)),
         sum(pooled) / len(pooled),
     )
+
+
+def whole_grid_image_metrics(
+    gt: np.ndarray, pred: np.ndarray, variant: str, spacing: tuple
+) -> tuple:
+    """(voxel Dice, HD95, ASSD, GT voxels, pred voxels) of two whole masks.
+
+    Erodes and scans the whole grid, as the image metrics did before they
+    worked from lesion boxes; kept so the box-based path can be compared
+    with it exactly.
+    """
+    g, p = gt != 0, pred != 0
+    n_g, n_p = int(g.sum()), int(p.sum())
+    dice = None if n_g + n_p == 0 else 2.0 * int((g & p).sum()) / (n_g + n_p)
+    if n_g == 0 or n_p == 0:
+        return dice, None, None, n_g, n_p
+    face = ndimage.generate_binary_structure(3, 1)
+    sp = np.asarray(spacing, dtype=float)
+    a = np.argwhere(g & ~ndimage.binary_erosion(g, face, border_value=0)) * sp
+    b = np.argwhere(p & ~ndimage.binary_erosion(p, face, border_value=0)) * sp
+    d_ab = np.atleast_1d(cKDTree(b).query(a, k=1)[0])
+    d_ba = np.atleast_1d(cKDTree(a).query(b, k=1)[0])
+    pooled = np.concatenate([d_ab, d_ba])
+    if variant == "pooled":
+        hd = float(np.percentile(pooled, 95))
+    else:
+        hd = float(max(np.percentile(d_ab, 95), np.percentile(d_ba, 95)))
+    return dice, hd, float(pooled.mean()), n_g, n_p
+
+
+def whole_grid_morph(vox: np.ndarray, dims: tuple, iterations: int, op: str) -> np.ndarray:
+    """Dilate or erode a voxel set on a whole-grid mask; returns argwhere order.
+
+    In a grid one voxel thick in z, the structuring element has no z
+    neighbours.
+    """
+    mask = np.zeros(dims, dtype=bool)
+    mask[vox[:, 0], vox[:, 1], vox[:, 2]] = True
+    struct = ndimage.generate_binary_structure(3, 1)
+    if dims[2] == 1:
+        struct[:, :, 0] = struct[:, :, 2] = False
+    fn = ndimage.binary_dilation if op == "dilate" else ndimage.binary_erosion
+    return np.argwhere(fn(mask, structure=struct, iterations=iterations))

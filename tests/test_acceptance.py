@@ -137,7 +137,8 @@ def test_criterion_07_aggregate_vs_lesionwise_divergence():
     pred_arr[0:10, 0:10, 0:10] = 1
     pred = Volume(pred_arr, (1, 1, 1), binary=True)
 
-    im = compute_image_metrics(gt, pred)
+    gt_ls, pred_ls = find_connected_components(gt), find_connected_components(pred)
+    im = compute_image_metrics(gt_ls, pred_ls, "pooled", (1, 1, 1))
     assert 0.975 <= im.voxel_dice <= 0.976
     assert im.voxel_dice == 2000 / 2050
     s = evaluate_pair("div", gt, pred, RunConfig())

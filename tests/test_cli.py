@@ -230,8 +230,10 @@ def test_malformed_json_fixture_fails_one_sample(tmp_path, capsys):
         ["..", "b_gt.nii.gz", "b_pred.nii.gz"],
         [".", "b_gt.nii.gz", "b_pred.nii.gz"],
         ["short", "b_gt.nii.gz"],
+        ["extra", "b_gt.nii.gz", "b_pred.nii.gz", "netB"],
     ],
-    ids=["slash", "backslash", "parent-escape", "dotdot", "dot", "short-row"],
+    ids=["slash", "backslash", "parent-escape", "dotdot", "dot", "short-row",
+         "extra-cell"],
 )
 def test_bad_manifest_row_rejected(tmp_path, capsys, bad_row):
     rng = np.random.default_rng(8)

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from lesioneval.metrics import (
     surface_voxels,
 )
 from lesioneval.volume import Volume
-from oracles import brute_surface, brute_surface_distances
+from oracles import brute_surface, brute_surface_distances, whole_grid_image_metrics
 
 SQUARE = {(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)}
 SQUARE_SHIFTED = {(1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0)}
@@ -36,9 +38,18 @@ def _blob_voxels(rng, dims, density):
     return vox
 
 
+def _image_metrics(a, b, connectivity=6, variant="pooled", spacing=(1, 1, 1)):
+    """Image metrics of two masks (Volumes) via their lesion sets."""
+    return compute_image_metrics(
+        find_connected_components(a, connectivity),
+        find_connected_components(b, connectivity),
+        variant,
+        spacing,
+    )
+
+
 def _image_dice(a, b, dims=(8, 8, 8)):
-    im = compute_image_metrics(mask_from_voxels(a, dims), mask_from_voxels(b, dims))
-    return im.voxel_dice
+    return _image_metrics(mask_from_voxels(a, dims), mask_from_voxels(b, dims)).voxel_dice
 
 
 def test_dice_basics():
@@ -56,7 +67,7 @@ def test_dice_symmetry(rng):
     for _ in range(10):
         a = random_blob_mask(rng, (10, 10, 10), 0.2)
         b = random_blob_mask(rng, (10, 10, 10), 0.2)
-        ab, ba = compute_image_metrics(a, b), compute_image_metrics(b, a)
+        ab, ba = _image_metrics(a, b), _image_metrics(b, a)
         assert ab.voxel_dice == ba.voxel_dice
         la, lb = find_connected_components(a), find_connected_components(b)
         for g, p, _ in match_lesions(la, lb, 0.0).matches:
@@ -211,7 +222,7 @@ def test_instance_metrics_from_matchset():
 
 def test_image_metrics_identity():
     v = random_blob_mask(np.random.default_rng(0), (12, 12, 12), 0.2)
-    im = compute_image_metrics(v, v)
+    im = _image_metrics(v, v)
     assert im.voxel_dice == 1.0 and im.voxel_hd95_mm == 0.0 and im.assd_mm == 0.0
 
 
@@ -228,7 +239,7 @@ def test_image_metrics_divergence_case():
     pred_arr[0:10, 0:10, 0:10] = 1
     pred = Volume(pred_arr, (1, 1, 1), binary=True)
 
-    im = compute_image_metrics(gt, pred)
+    im = _image_metrics(gt, pred)
     assert im.voxel_dice == pytest.approx(2000 / 2050)
     gt_ls = find_connected_components(gt)
     pred_ls = find_connected_components(pred)
@@ -239,9 +250,39 @@ def test_image_metrics_divergence_case():
 
 def test_image_metrics_degenerate():
     empty = Volume(np.zeros((4, 4, 4), dtype=np.uint8), (1, 1, 1), binary=True)
-    im = compute_image_metrics(empty, empty)
+    im = _image_metrics(empty, empty)
     assert im.voxel_dice is None and im.voxel_hd95_mm is None and im.assd_mm is None
     one = Volume(np.eye(4, dtype=np.uint8)[:, :, None] * 0, (1, 1, 1), binary=True)
     one.data[0, 0, 0] = 1
-    im2 = compute_image_metrics(one, empty)
+    im2 = _image_metrics(one, empty)
     assert im2.voxel_dice == 0.0 and im2.voxel_hd95_mm is None
+
+
+def _faces_touched(rng, arr):
+    """OR a sparse random pattern into all six faces of the grid."""
+    for axis in range(3):
+        for end in (0, -1):
+            face = np.moveaxis(arr, axis, 0)[end]
+            face |= (rng.random(face.shape) < 0.3).astype(arr.dtype)
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+@pytest.mark.parametrize("dims", [(12, 12, 12), (30, 20, 8), (16, 16, 1)])
+def test_image_metrics_match_whole_grid(rng, connectivity, dims):
+    # the box-based image metrics must equal whole-grid erosion exactly
+    for trial in range(15):
+        density = rng.uniform(0.02, 0.6)
+        masks = [random_blob_mask(rng, dims, density) for _ in range(2)]
+        if trial % 2:
+            for m in masks:
+                _faces_touched(rng, m.data)
+        if trial < 3:  # empty GT, empty prediction, both empty
+            for i in {0: [0], 1: [1], 2: [0, 1]}[trial]:
+                masks[i].data[:] = 0
+        spacing = tuple(rng.uniform(0.4, 3.0, 3))
+        for variant in ("pooled", "max-of-directed"):
+            got = _image_metrics(*masks, connectivity, variant, spacing)
+            want = whole_grid_image_metrics(
+                masks[0].data, masks[1].data, variant, spacing
+            )
+            assert astuple(got) == want

@@ -125,6 +125,15 @@ def test_emit_reports_deterministic(tmp_path, rng):
         ).read_bytes()
 
 
+def test_emit_reports_rejects_escaping_sample_id(tmp_path, rng):
+    v = random_blob_mask(rng, (10, 10, 10), 0.2)
+    good = evaluate_pair("good", v, v, RunConfig())
+    bad = evaluate_pair("../escape", v, v, RunConfig())
+    with pytest.raises(ValueError, match="plain file name"):
+        emit_reports([good, bad], RunConfig(), str(tmp_path / "out"))
+    assert list(tmp_path.iterdir()) == []  # not even out/ was made
+
+
 def test_empty_cells_for_zero_match_bin(tmp_path):
     # a bin with FPs but no matched pairs: HD95 and F1 must be blank / null
     gt = Volume(np.zeros((20, 20, 20), dtype=np.uint8), (1, 1, 1), binary=True)

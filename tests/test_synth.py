@@ -7,10 +7,12 @@ from lesioneval.nifti import read_volume
 from lesioneval.synth import (
     BIN_SIZE_RANGES,
     SynthParams,
+    _morph,
     export_case,
     generate_case,
     tau_sweep,
 )
+from oracles import whole_grid_morph
 
 ALL_BINS = {"VerySmall": 2, "Small": 3, "Medium": 2, "Large": 1}
 
@@ -160,3 +162,25 @@ def test_bin_size_ranges_align_with_bins():
         assert categorize(lo).name == name
         if name != "Large":
             assert categorize(hi).name == name
+
+
+@pytest.mark.parametrize("dims", [(96, 96, 1), (40, 40, 30), (20, 20, 20)])
+def test_morph_matches_whole_grid(dims):
+    # _morph works in the padded lesion box; it must equal whole-grid morphology
+    rng = np.random.default_rng(sum(dims))
+    for trial in range(40):
+        n = int(rng.integers(1, 60))
+        center = rng.integers(0, dims)
+        vox = center + rng.integers(-4, 5, size=(n, 3))
+        if dims[2] == 1:
+            vox[:, 2] = 0
+        if trial % 3 == 0:  # pin some voxels to a grid edge
+            axis = int(rng.integers(0, 3))
+            vox[: n // 2 + 1, axis] = rng.choice([0, dims[axis] - 1])
+        vox = np.unique(np.clip(vox, 0, np.array(dims) - 1), axis=0)
+        for op in ("dilate", "erode"):
+            it = int(rng.integers(1, 4))
+            got = _morph(vox, dims, it, op)
+            want = whole_grid_morph(vox, dims, it, op)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
