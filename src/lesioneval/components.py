@@ -4,13 +4,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from .errors import NotBinary
 from .volume import Volume
 
-# connectivity -> rank passed to generate_binary_structure
-_STRUCT_RANK = {6: 1, 18: 2, 26: 3}
+# connectivity -> the (dx, dy, dz) neighbour offsets that come later in
+# (z, y, x) scan order: each neighbour pair is then seen exactly once
+_FORWARD = {
+    conn: [
+        (dx, dy, dz)
+        for dz in (0, 1)
+        for dy in (-1, 0, 1)
+        for dx in (-1, 0, 1)
+        if (dz, dy, dx) > (0, 0, 0) and abs(dx) + abs(dy) + abs(dz) <= rank
+    ]
+    for conn, rank in ((6, 1), (18, 2), (26, 3))
+}
 
 
 @dataclass(frozen=True)
@@ -43,25 +54,56 @@ def find_connected_components(mask: Volume, connectivity: int = 6) -> LesionSet:
     Labels are assigned deterministically: components are numbered 1..N by
     their minimum voxel in lexicographic (z, y, x) order.
     """
-    if connectivity not in _STRUCT_RANK:
+    if connectivity not in _FORWARD:
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity}")
     data = mask.data
-    bad = (data != 0) & (data != 1)
+    nx, ny, nz = data.shape
+    # foreground as ascending z-major linear indices, i.e. in (z, y, x) order
+    idx = np.flatnonzero(data.T != 0)
+    z, rest = np.divmod(idx, nx * ny)
+    y, x = np.divmod(rest, nx)
+    vals = data[x, y, z]
+    bad = vals != 1
     if bad.any():
         raise NotBinary(
-            f"mask contains values other than 0/1: {np.unique(data[bad])[:10]}"
+            f"mask contains values other than 0/1: {np.unique(vals[bad])[:10]}"
         )
 
-    structure = ndimage.generate_binary_structure(3, _STRUCT_RANK[connectivity])
-    # scipy numbers components in scan order of its input; scanning the
-    # [z, y, x] view gives the (z, y, x) numbering without a relabel
-    labels_zyx, _ = ndimage.label(data.T, structure=structure)
-    label_map = labels_zyx.T
-    voxel_mm3 = float(np.prod(mask.spacing))
+    # one edge per pair of foreground neighbours, found by binary search;
+    # the bounds check keeps a step from wrapping into the next row or slice
+    room = [{-1: c > 0, 0: True, 1: c < n - 1} for c, n in ((x, nx), (y, ny), (z, nz))]
+    src, dst = [], []
+    for dx, dy, dz in _FORWARD[connectivity]:
+        at = np.flatnonzero(room[0][dx] & room[1][dy] & room[2][dz])
+        target = idx[at] + (dz * ny + dy) * nx + dx
+        pos = np.searchsorted(idx, target)
+        hit = idx.take(pos, mode="clip") == target
+        src.append(at[hit])
+        dst.append(pos[hit])
+    src, dst = np.concatenate(src), np.concatenate(dst)
+    graph = coo_array((np.ones(src.size, np.int8), (src, dst)), shape=(idx.size,) * 2)
+    _, comp = connected_components(graph, directed=False)
 
-    lesions: list[Lesion] = []
-    for lesion_id, box_zyx in enumerate(ndimage.find_objects(labels_zyx), start=1):
-        box = box_zyx[::-1]
-        n = int(np.count_nonzero(label_map[box] == lesion_id))
-        lesions.append(Lesion(lesion_id, box, n, n * voxel_mm3))
+    # number components 1..N by their first voxel in scan order
+    _, first = np.unique(comp, return_index=True)
+    number = np.empty(first.size, np.int32)
+    number[np.argsort(first)] = np.arange(1, first.size + 1, dtype=np.int32)
+    labels = number[comp]
+
+    labels_zyx = np.zeros((nz, ny, nx), dtype=np.int32)
+    labels_zyx.ravel()[idx] = labels
+    label_map = labels_zyx.T
+
+    sizes = np.bincount(labels)[1:]
+    order = np.argsort(labels)
+    starts = np.cumsum(sizes) - sizes
+    lo = [np.minimum.reduceat(c[order], starts).tolist() for c in (x, y, z)]
+    hi = [(np.maximum.reduceat(c[order], starts) + 1).tolist() for c in (x, y, z)]
+    voxel_mm3 = float(np.prod(mask.spacing))
+    lesions = [
+        Lesion(lesion_id, tuple(map(slice, a, b)), n, n * voxel_mm3)
+        for lesion_id, (n, a, b) in enumerate(
+            zip(sizes.tolist(), zip(*lo), zip(*hi)), start=1
+        )
+    ]
     return LesionSet(lesions, label_map)

@@ -33,17 +33,19 @@ def generate_candidates(
 ) -> list[CandidatePair]:
     """All overlapping pairs with IoU strictly above tau, by (gt_id, pred_id).
 
-    One joint count over the voxels that are foreground in both label maps
-    gives every pairwise intersection at once.
+    Each GT lesion's predicted labels are read inside its own box, so the
+    work follows the GT foreground, not the grid; one joint count over
+    them gives every pairwise intersection at once.
     """
     if not gt.lesions or not pred.lesions:
         return []
     g, p = gt.label_map, pred.label_map
-    both = (g != 0) & (p != 0)
     stride = len(pred.lesions) + 1
-    keys, counts = np.unique(
-        g[both].astype(np.int64) * stride + p[both], return_counts=True
-    )
+    parts = []
+    for l in gt.lesions:
+        hit = p[l.bbox][g[l.bbox] == l.id]
+        parts.append(l.id * stride + hit[hit != 0].astype(np.int64))
+    keys, counts = np.unique(np.concatenate(parts), return_counts=True)
     out: list[CandidatePair] = []
     for key, inter in zip(keys.tolist(), counts.tolist()):
         gid, pid = divmod(key, stride)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import math
 import os
 import struct
 
@@ -63,6 +64,8 @@ def _parse_header(raw: bytes, path: str) -> tuple[dict, str]:
     pixdim = struct.unpack_from(endian + "8f", raw, 76)
     (vox_offset,) = struct.unpack_from(endian + "f", raw, 108)
     scl_slope, scl_inter = struct.unpack_from(endian + "2f", raw, 112)
+    if not math.isfinite(vox_offset):
+        raise BadMagic(f"{path}: vox_offset is {vox_offset}")
     fields = {
         "dim": dim,
         "datatype": int(datatype),
@@ -91,6 +94,8 @@ def _read_nifti(path: str) -> Volume:
     spacing = []
     fixed = False
     for p in hdr["pixdim"][1:4]:
+        if not math.isfinite(p):
+            raise BadMagic(f"{path}: pixdim {hdr['pixdim'][1:4]} is not finite")
         s = abs(float(p))
         if s == 0.0:
             s = 1.0
@@ -110,6 +115,8 @@ def _read_nifti(path: str) -> Volume:
     else:
         body = raw
         offset = hdr["vox_offset"]
+        if offset < VOX_OFFSET:
+            raise BadMagic(f"{path}: vox_offset {offset} lies inside the header")
 
     nvox = dims[0] * dims[1] * dims[2]
     nbytes = nvox * dtype.itemsize
@@ -121,8 +128,13 @@ def _read_nifti(path: str) -> Volume:
     data = flat.reshape(dims, order="F")
     data = np.asarray(data, dtype=dtype.newbyteorder("="))
 
+    # a zero or NaN slope means unscaled, as the NIfTI reference library
+    # and nibabel read it
     slope, inter = hdr["scl_slope"], hdr["scl_inter"]
-    if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
+    unscaled = slope == 0.0 or math.isnan(slope) or (slope == 1.0 and inter == 0.0)
+    if not unscaled:
+        if not (math.isfinite(slope) and math.isfinite(inter)):
+            raise BadMagic(f"{path}: scl_slope {slope}, scl_inter {inter}")
         data = data * slope + inter
 
     return Volume(data, tuple(spacing), source_path=path, spacing_was_fixed=fixed)

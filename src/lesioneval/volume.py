@@ -1,6 +1,7 @@
 """In-memory 3D mask volume and basic volume-level operations."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +30,8 @@ class Volume:
         if any(d < 1 for d in self.data.shape):
             raise ValueError(f"all dims must be >= 1, got {self.data.shape}")
         self.spacing = tuple(float(s) for s in self.spacing)
-        if any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not all(0 < s < math.inf for s in self.spacing):
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -51,7 +52,7 @@ class Volume:
 
 def binarize(v: Volume, threshold: float = 0.5) -> Volume:
     """Threshold a volume: voxel > threshold becomes 1, else 0."""
-    out = (v.data > threshold).astype(np.uint8)
+    out = (v.data > threshold).view(np.uint8)
     return Volume(out, v.spacing, source_path=v.source_path, binary=True)
 
 

@@ -1,10 +1,10 @@
 """Naive reference implementations used to cross-check the main pipeline.
 
 Deliberately share no code with the production modules: flood-fill BFS
-instead of labeled-array components, a full IoU table instead of the
-joint label-count candidate scan, exhaustive pairwise distances instead
-of nearest-neighbor queries, and whole-grid morphology instead of work
-inside lesion boxes.
+and scipy's whole-grid labeller instead of the foreground-voxel graph,
+a full IoU table instead of the per-box label count, exhaustive pairwise
+distances instead of nearest-neighbor queries, and whole-grid morphology
+instead of work inside lesion boxes.
 """
 from __future__ import annotations
 
@@ -59,15 +59,31 @@ def flood_fill_components(
     return components
 
 
-def naive_match(
-    gt_sets: list[frozenset],
-    pred_sets: list[frozenset],
-    tau: float,
-) -> tuple[list[tuple[int, int, float]], list[int], list[int]]:
-    """Greedy matching from the full IoU table, no bbox pre-filter.
+def scipy_label_components(data: np.ndarray, connectivity: int) -> tuple:
+    """(label map, [(id, bbox, volume_vox), ...]) from scipy's grid labeller.
 
-    Lesion ids are 1-based positions in the input lists. Returns
-    (matches, unmatched_gt_ids, unmatched_pred_ids).
+    Labels the whole ``[z, y, x]`` view with ``ndimage.label``, whose scan
+    order numbers components by their first voxel in (z, y, x) order, and
+    takes the boxes from ``find_objects``, as components did before it
+    worked from the foreground voxels alone.
+    """
+    rank = {6: 1, 18: 2, 26: 3}[connectivity]
+    structure = ndimage.generate_binary_structure(3, rank)
+    labels_zyx, _ = ndimage.label(data.T, structure=structure)
+    label_map = labels_zyx.T
+    lesions = []
+    for lesion_id, box_zyx in enumerate(ndimage.find_objects(labels_zyx), start=1):
+        box = box_zyx[::-1]
+        lesions.append((lesion_id, box, int(np.count_nonzero(label_map[box] == lesion_id))))
+    return label_map, lesions
+
+
+def iou_table(
+    gt_sets: list[frozenset], pred_sets: list[frozenset], tau: float
+) -> list[tuple[int, int, float]]:
+    """Every (gt_id, pred_id, iou) with iou > tau, by (gt_id, pred_id).
+
+    Lesion ids are 1-based positions in the input lists.
     """
     table = []
     for gi, gs in enumerate(gt_sets, start=1):
@@ -78,6 +94,20 @@ def naive_match(
             iou = inter / (len(gs) + len(ps) - inter)
             if iou > tau:
                 table.append((gi, pi, iou))
+    return table
+
+
+def naive_match(
+    gt_sets: list[frozenset],
+    pred_sets: list[frozenset],
+    tau: float,
+) -> tuple[list[tuple[int, int, float]], list[int], list[int]]:
+    """Greedy matching from the full IoU table, no bbox pre-filter.
+
+    Lesion ids are 1-based positions in the input lists. Returns
+    (matches, unmatched_gt_ids, unmatched_pred_ids).
+    """
+    table = iou_table(gt_sets, pred_sets, tau)
     table.sort(key=lambda t: (-t[2], t[0], t[1]))
     used_g: set[int] = set()
     used_p: set[int] = set()

@@ -221,6 +221,30 @@ def test_malformed_json_fixture_fails_one_sample(tmp_path, capsys):
     assert "FAILED bad" in capsys.readouterr().err
 
 
+def test_bad_nifti_header_fails_one_sample(tmp_path, capsys):
+    # an infinite vox_offset used to escape the reader as an OverflowError
+    # and end the whole run with no reports
+    import struct
+
+    rng = np.random.default_rng(9)
+    g, p = _make_pair(tmp_path, "good", rng)
+    v = random_blob_mask(rng, (6, 6, 6), 0.3)
+    write_volume(v, str(tmp_path / "bad.nii"))
+    raw = bytearray((tmp_path / "bad.nii").read_bytes())
+    struct.pack_into("<f", raw, 108, float("inf"))
+    (tmp_path / "bad.nii").write_bytes(bytes(raw))
+    manifest = _write_manifest(
+        tmp_path, [["good", g, p], ["bad", "bad.nii", "bad.nii"]]
+    )
+    out = tmp_path / "out"
+    code = main(["evaluate", "--manifest", str(manifest), "--out", str(out)])
+    assert code == 2
+    summary = json.load(open(out / "summary.json"))
+    assert summary["samples"] == ["good"]
+    assert [f["sample_id"] for f in summary["failures"]] == ["bad"]
+    assert "vox_offset" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "bad_row",
     [

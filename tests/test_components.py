@@ -4,7 +4,7 @@ import pytest
 from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask
 from lesioneval.components import find_connected_components
 from lesioneval.errors import NotBinary
-from oracles import flood_fill_components
+from oracles import flood_fill_components, scipy_label_components
 from lesioneval.volume import Volume
 
 
@@ -17,11 +17,102 @@ def test_empty_mask():
 
 
 def test_not_binary_rejected():
-    for dtype, value in ((np.uint8, 3), (np.float64, 0.5), (np.float64, np.nan)):
-        arr = np.zeros((2, 2, 2), dtype=dtype)
+    cases = [
+        (np.uint8, 2),
+        (np.uint8, 255),
+        (np.int16, 2),
+        (np.int16, -1),
+        (np.float32, 2.0),
+        (np.float32, -1.0),
+        (np.float32, 0.5),
+        (np.float32, np.nan),
+        (np.float64, 0.5),
+        (np.float64, np.nan),
+    ]
+    for dtype, value in cases:
+        arr = np.zeros((3, 2, 2), dtype=dtype)
         arr[1, 0, 1] = value
-        with pytest.raises(NotBinary):
+        arr[2, 1, 1] = 1
+        with pytest.raises(NotBinary) as err:
             find_connected_components(Volume(arr, (1, 1, 1)))
+        bad = np.unique(arr[(arr != 0) & (arr != 1)])
+        assert str(err.value) == f"mask contains values other than 0/1: {bad}"
+
+
+def _assert_matches_scipy(data, connectivity):
+    ls = find_connected_components(Volume(data, (1, 1, 1)), connectivity)
+    label_map, lesions = scipy_label_components(data, connectivity)
+    assert ls.label_map.dtype == label_map.dtype
+    assert np.array_equal(ls.label_map, label_map)
+    assert [(l.id, l.bbox, l.volume_vox) for l in ls.lesions] == lesions
+    return ls
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_matches_scipy_labeller(rng, connectivity, order):
+    shapes = [(12, 12, 12), (9, 7, 5), (16, 16, 1), (1, 9, 7), (8, 1, 6), (5, 1, 1),
+              (1, 1, 1)]
+    for dims in shapes:
+        for density in (0.02, 0.2, 0.5, 0.8):
+            data = (rng.random(dims) < density).astype(np.uint8)
+            _assert_matches_scipy(np.asarray(data, order=order), connectivity)
+        blobs = random_blob_mask(rng, dims, 0.3).data
+        _assert_matches_scipy(np.asarray(blobs, order=order), connectivity)
+    _assert_matches_scipy(np.zeros((4, 3, 2), dtype=np.uint8, order=order), connectivity)
+
+
+# (X, Y, Z) = (5, 4, 3): pairs of voxels that are close in z-major linear
+# index, or that a forward step would reach by wrapping, yet are not
+# neighbours in space
+WRAP_PAIRS = {
+    "row-end-next-row": [(4, 1, 1), (0, 2, 1)],
+    "row-start-row-end": [(0, 1, 1), (4, 1, 1)],
+    "row-end-diagonal": [(4, 1, 1), (0, 2, 2)],
+    "slice-end-next-slice": [(2, 3, 0), (2, 0, 1)],
+    "slice-start-slice-end": [(2, 0, 1), (2, 3, 1)],
+    "slice-corner-next-slice": [(4, 3, 0), (0, 0, 1)],
+    "last-slice-row-end": [(4, 3, 2), (0, 0, 2)],
+}
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+@pytest.mark.parametrize("pair", list(WRAP_PAIRS), ids=list(WRAP_PAIRS))
+def test_no_neighbour_across_row_or_slice_edge(connectivity, pair):
+    v = mask_from_voxels(WRAP_PAIRS[pair], (5, 4, 3))
+    ls = _assert_matches_scipy(v.data, connectivity)
+    assert len(ls) == 2
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_lesions_on_all_six_faces(connectivity):
+    dims = (7, 6, 5)
+    arr = np.zeros(dims, dtype=np.uint8)
+    arr[0, 1:3, 1:3] = arr[-1, 2:5, 0:2] = 1  # x faces
+    arr[2:4, 0, 2:4] = arr[1:3, -1, 1:4] = 1  # y faces
+    arr[4:6, 3:5, 0] = arr[3:6, 1:3, -1] = 1  # z faces
+    arr[-1, -1, -1] = arr[0, 0, 0] = 1  # opposite corners
+    ls = _assert_matches_scipy(arr, connectivity)
+    boxes = [l.bbox for l in ls.lesions]
+    for axis, n in enumerate(dims):
+        assert any(b[axis].start == 0 for b in boxes)
+        assert any(b[axis].stop == n for b in boxes)
+
+
+def test_numbering_does_not_rest_on_the_graph_labeller(rng, monkeypatch):
+    # scipy does not document the order of its component labels, so a
+    # labeller that numbers them backwards must give the same lesions
+    from lesioneval import components
+
+    real = components.connected_components
+
+    def backwards(graph, directed):
+        n, labels = real(graph, directed=directed)
+        return n, (n - 1 - labels).astype(labels.dtype)
+
+    monkeypatch.setattr(components, "connected_components", backwards)
+    data = random_blob_mask(rng, (12, 12, 12), 0.3).data
+    assert len(_assert_matches_scipy(data, 6)) > 3
 
 
 def test_diagonal_voxels_by_connectivity():

@@ -9,7 +9,7 @@ from lesioneval.matching import (
     greedy_match,
     match_lesions,
 )
-from oracles import naive_match
+from oracles import iou_table, naive_match
 
 SQUARE = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)]
 SQUARE_SHIFTED = [(1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0)]  # +1 in x
@@ -26,6 +26,39 @@ def test_candidate_iou_hand_cases():
     assert (c.gt_id, c.pred_id) == (1, 1) and c.iou == pytest.approx(1 / 3)
     # disjoint lesions have IoU 0, which is never above tau
     assert generate_candidates(g, _extract([(5, 5, 0)]), tau=0.0) == []
+
+
+def test_candidates_count_only_the_lesion_inside_its_box():
+    # GT lesion 1 is an L whose box also holds GT lesion 2; predicted
+    # voxels lie in that box outside both lesions (P2 at (2, 2)) and across
+    # lesion 2 and the free part of the box (P4)
+    ell = [(x, 0, 0) for x in range(6)] + [(0, y, 0) for y in range(1, 6)]
+    inner = [(3, 3, 0), (4, 3, 0), (3, 4, 0), (4, 4, 0)]
+    gt = _extract(ell + inner, dims=(8, 8, 2))
+    assert [l.bbox for l in gt.lesions] == [
+        (slice(0, 6), slice(0, 6), slice(0, 1)),
+        (slice(3, 5), slice(3, 5), slice(0, 1)),
+    ]
+    pred = _extract(
+        [(0, 0, 0), (1, 0, 0), (2, 0, 0), (0, 1, 0)]
+        + [(2, 2, 0)]
+        + [(4, 4, 0), (5, 4, 0), (4, 5, 0), (5, 5, 0)]
+        + [(0, 4, 0), (0, 5, 0), (1, 5, 0)],
+        dims=(8, 8, 2),
+    )
+    table = iou_table(lesion_voxel_sets(gt), lesion_voxel_sets(pred), 0.0)
+    assert [(g, p) for g, p, _ in table] == [(1, 1), (1, 3), (2, 4)]
+    for tau in (0.0, 0.1, 0.3):
+        got = [(c.gt_id, c.pred_id, c.iou) for c in generate_candidates(gt, pred, tau)]
+        assert got == iou_table(lesion_voxel_sets(gt), lesion_voxel_sets(pred), tau)
+
+
+def test_candidates_equal_full_iou_table(rng):
+    for _ in range(20):
+        gt = find_connected_components(random_blob_mask(rng, (14, 14, 14), 0.3), 26)
+        pred = find_connected_components(random_blob_mask(rng, (14, 14, 14), 0.3), 26)
+        got = [(c.gt_id, c.pred_id, c.iou) for c in generate_candidates(gt, pred, 0.0)]
+        assert got == iou_table(lesion_voxel_sets(gt), lesion_voxel_sets(pred), 0.0)
 
 
 def test_generate_candidates_threshold_strict():

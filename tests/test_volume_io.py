@@ -1,4 +1,5 @@
 import gzip
+import struct
 
 import numpy as np
 import pytest
@@ -132,6 +133,59 @@ def test_scl_scaling_applied(tmp_path):
     p.write_bytes(bytes(raw))
     w = read_volume(str(p))
     assert np.allclose(w.data, v.data * 2.0 + 1.0)
+
+
+def _patched_nifti(tmp_path, fmt, offset, *values):
+    """A written 2x2x2 NIfTI with ``values`` packed at ``offset``, and its volume."""
+    v = Volume(np.arange(8, dtype=np.int16).reshape((2, 2, 2), order="F"), (1, 1, 1))
+    p = tmp_path / "m.nii"
+    write_volume(v, str(p))
+    raw = bytearray(p.read_bytes())
+    struct.pack_into("<" + fmt, raw, offset, *values)
+    p.write_bytes(bytes(raw))
+    return str(p), v
+
+
+@pytest.mark.parametrize("axis", [1, 2, 3])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_pixdim_rejected(tmp_path, axis, value):
+    p, _ = _patched_nifti(tmp_path, "f", 76 + 4 * axis, value)
+    with pytest.raises(BadMagic, match="pixdim"):
+        read_volume(p)
+
+
+@pytest.mark.parametrize(
+    "slope,inter",
+    [(np.inf, 0.0), (-np.inf, 1.0), (2.0, np.nan), (2.0, np.inf)],
+)
+def test_non_finite_scaling_rejected(tmp_path, slope, inter):
+    p, _ = _patched_nifti(tmp_path, "2f", 112, slope, inter)
+    with pytest.raises(BadMagic, match="scl_"):
+        read_volume(p)
+
+
+@pytest.mark.parametrize("inter", [np.nan, 0.0, 5.0])
+def test_nan_scl_slope_means_unscaled(tmp_path, inter):
+    # NaN scl_slope marks "no scaling", as the NIfTI reference library reads
+    # it; scl_inter is then ignored, as with a zero slope
+    p, v = _patched_nifti(tmp_path, "2f", 112, np.nan, inter)
+    w = read_volume(p)
+    assert w == v and w.data.dtype == v.data.dtype
+
+
+@pytest.mark.parametrize("offset", [0.0, 100.0, 348.0, 351.0, -4.0, np.nan, np.inf])
+def test_single_file_vox_offset_inside_header_rejected(tmp_path, offset):
+    p, _ = _patched_nifti(tmp_path, "f", 108, offset)
+    with pytest.raises(BadMagic, match="vox_offset"):
+        read_volume(p)
+
+
+@pytest.mark.parametrize(
+    "spacing", [(np.nan, 1, 1), (1, np.inf, 1), (1, 1, -np.inf), (0, 1, 1)]
+)
+def test_volume_rejects_bad_spacing(spacing):
+    with pytest.raises(ValueError, match="spacing"):
+        Volume(np.zeros((2, 2, 2), dtype=np.uint8), spacing)
 
 
 def test_big_endian_read(tmp_path):
