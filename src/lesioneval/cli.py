@@ -19,7 +19,6 @@ from .pipeline import (
 )
 from .report import emit_reports
 from .stratify import BIN_NAMES, categorize
-from .synth import DEFAULT_SWEEP_GRID, SynthParams, generate_case, tau_sweep
 from .volume import binarize
 
 EXIT_OK = 0
@@ -124,6 +123,9 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_tune_tau(args: argparse.Namespace) -> int:
+    # synth needs scipy.ndimage, which evaluate never loads
+    from .synth import DEFAULT_SWEEP_GRID, SynthParams, generate_case, tau_sweep
+
     params = SynthParams(
         dims=(args.grid_size, args.grid_size, 1),
         counts={"VerySmall": 2, "Small": 4, "Medium": 3, "Large": 1},

@@ -33,19 +33,17 @@ def generate_candidates(
 ) -> list[CandidatePair]:
     """All overlapping pairs with IoU strictly above tau, by (gt_id, pred_id).
 
-    Each GT lesion's predicted labels are read inside its own box, so the
-    work follows the GT foreground, not the grid; one joint count over
-    them gives every pairwise intersection at once.
+    One intersection of the two sorted foregrounds gives the voxels the
+    masks share; one joint count of their label pairs gives every
+    pairwise intersection at once.
     """
-    if not gt.lesions or not pred.lesions:
-        return []
-    g, p = gt.label_map, pred.label_map
+    _, gi, pi = np.intersect1d(
+        gt.index, pred.index, assume_unique=True, return_indices=True
+    )
     stride = len(pred.lesions) + 1
-    parts = []
-    for l in gt.lesions:
-        hit = p[l.bbox][g[l.bbox] == l.id]
-        parts.append(l.id * stride + hit[hit != 0].astype(np.int64))
-    keys, counts = np.unique(np.concatenate(parts), return_counts=True)
+    keys, counts = np.unique(
+        gt.label[gi].astype(np.int64) * stride + pred.label[pi], return_counts=True
+    )
     out: list[CandidatePair] = []
     for key, inter in zip(keys.tolist(), counts.tolist()):
         gid, pid = divmod(key, stride)

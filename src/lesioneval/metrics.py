@@ -4,12 +4,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .components import LesionSet
+from .components import LesionSet, find_connected_components
 from .errors import EmptySet
 from .matching import MatchSet
+from .volume import Volume
 
 
 @dataclass(frozen=True)
@@ -51,16 +51,10 @@ def _dice_counts(inter: int, na: int, nb: int) -> float | None:
     return 2.0 * inter / total
 
 
-_FACE_STRUCT = ndimage.generate_binary_structure(3, 1)
-
-
-def _surface(mask: np.ndarray, origin) -> np.ndarray:
-    """Grid coordinates of mask voxels with a 6-neighbor outside the mask.
-
-    The edge of the array counts as outside.
-    """
-    eroded = ndimage.binary_erosion(mask, structure=_FACE_STRUCT, border_value=0)
-    return np.argwhere(mask & ~eroded) + origin
+def _mask_surface(ls: LesionSet) -> np.ndarray:
+    """The labeller's surface voxels of a whole mask, in C [x, y, z] order."""
+    pts = ls.coords(np.flatnonzero(ls.surface))
+    return pts[np.lexsort(pts.T[::-1])]
 
 
 def _surface_distances(
@@ -93,10 +87,10 @@ def surface_voxels(voxels: np.ndarray) -> np.ndarray:
     if len(voxels) == 0:
         raise EmptySet("surface of an empty voxel set")
     lo = voxels.min(axis=0)
-    mask = np.zeros(voxels.max(axis=0) - lo + 1, dtype=bool)
+    mask = np.zeros(voxels.max(axis=0) - lo + 1, dtype=np.uint8)
     rel = voxels - lo
-    mask[rel[:, 0], rel[:, 1], rel[:, 2]] = True
-    return _surface(mask, lo)
+    mask[rel[:, 0], rel[:, 1], rel[:, 2]] = 1
+    return _mask_surface(find_connected_components(Volume(mask, (1, 1, 1)))) + lo
 
 
 def hd95(
@@ -121,23 +115,22 @@ def compute_lesion_metrics(
 ) -> LesionPairMetrics:
     """All per-pair metrics for a matched GT/prediction lesion pair.
 
-    Both lesions are cut from their label maps over the union of their boxes.
+    Both lesions are read from their runs of voxels; HD95 is a percentile,
+    so the order of their surface points does not matter.
     """
     g, p = gt.by_id(gt_id), pred.by_id(pred_id)
-    box = tuple(
-        slice(min(a.start, b.start), max(a.stop, b.stop)) for a, b in zip(g.bbox, p.bbox)
-    )
-    gm = gt.label_map[box] == gt_id
-    pm = pred.label_map[box] == pred_id
-    inter = int(np.count_nonzero(gm & pm))
-    origin = np.array([s.start for s in box])
+    ga, pa = gt.run(gt_id), pred.run(pred_id)
+    inter = np.intersect1d(gt.index[ga], pred.index[pa], assume_unique=True).size
     return LesionPairMetrics(
         gt_id=gt_id,
         pred_id=pred_id,
         dice=_dice_counts(inter, g.volume_vox, p.volume_vox),
         iou=inter / (g.volume_vox + p.volume_vox - inter),
         hd95_mm=_surface_distances(
-            _surface(gm, origin), _surface(pm, origin), spacing, hd95_variant
+            gt.coords(ga[gt.surface[ga]]),
+            pred.coords(pa[pred.surface[pa]]),
+            spacing,
+            hd95_variant,
         )[0],
         gt_vox=g.volume_vox,
         pred_vox=p.volume_vox,
@@ -168,41 +161,21 @@ def compute_instance_metrics(
     return DetectionCounts(tp, fp, fn, precision, recall, f1)
 
 
-def _mask_surface(ls: LesionSet) -> np.ndarray:
-    """Surface voxels of a whole mask from its lesions' boxes, in C order."""
-    pts = np.concatenate(
-        [
-            _surface(ls.label_map[l.bbox] == l.id, [s.start for s in l.bbox])
-            for l in ls.lesions
-        ]
-    )
-    return pts[np.lexsort(pts.T[::-1])]
-
-
 def compute_image_metrics(
     gt: LesionSet, pred: LesionSet, hd95_variant: str, spacing: tuple
 ) -> ImageMetrics:
     """Voxel-wise Dice plus whole-foreground HD95 and ASSD of two masks.
 
-    Works from the lesion boxes alone, never scanning the whole grid. This
-    gives the same numbers as whole-mask erosion: lesions are components
-    at connectivity 6, 18 or 26, each of which joins face neighbours, so no
-    two lesions share a face, and a voxel's 6-neighbour is outside the mask
-    exactly when it is outside the voxel's own lesion. The mask's surface is
-    then the union of the per-lesion surfaces, sorted back to C order so the
-    distances and their sums match the whole-grid computation bit for bit.
+    Works from the two foregrounds alone, never scanning the grid. The
+    labeller's surface flags are those of whole-mask erosion, and the
+    surface points are sorted to C order so the distances and their sums
+    match the whole-grid computation bit for bit.
 
     Distances are None when either foreground is empty; Dice is None only
     when both are empty.
     """
-    n_g = sum(l.volume_vox for l in gt.lesions)
-    n_p = sum(l.volume_vox for l in pred.lesions)
-    inter = sum(
-        int(np.count_nonzero(
-            (gt.label_map[l.bbox] == l.id) & (pred.label_map[l.bbox] != 0)
-        ))
-        for l in gt.lesions
-    )
+    n_g, n_p = gt.index.size, pred.index.size
+    inter = np.intersect1d(gt.index, pred.index, assume_unique=True).size
     voxel_dice = _dice_counts(inter, n_g, n_p)
     voxel_hd95 = assd_mm = None
     if n_g > 0 and n_p > 0:

@@ -13,6 +13,7 @@ import json
 import math
 import os
 import struct
+import zlib
 
 import numpy as np
 
@@ -42,7 +43,12 @@ def _read_bytes(path: str) -> bytes:
     except OSError as e:
         raise IoFailure(f"cannot read {path}: {e}") from e
     if raw[:2] == GZIP_MAGIC:
-        raw = gzip.decompress(raw)
+        try:
+            raw = gzip.decompress(raw)
+        except EOFError as e:
+            raise TruncatedFile(f"{path}: gzip stream ends early") from e
+        except (zlib.error, gzip.BadGzipFile) as e:
+            raise BadMagic(f"{path}: corrupt gzip stream: {e}") from e
     return raw
 
 
@@ -107,14 +113,14 @@ def _read_nifti(path: str) -> Volume:
         raise UnsupportedDatatype(f"{path}: datatype code {code}")
     dtype = DTYPE_BY_CODE[code].newbyteorder(endian)
 
+    offset = hdr["vox_offset"]
     if hdr["magic"] == b"ni1\x00":
         # header/image pair: voxel data lives in the sibling .img file
-        img_path = os.path.splitext(path)[0] + ".img"
-        body = _read_bytes(img_path)
-        offset = 0
+        body = _read_bytes(os.path.splitext(path)[0] + ".img")
+        if offset < 0:
+            raise BadMagic(f"{path}: vox_offset {offset} is negative")
     else:
         body = raw
-        offset = hdr["vox_offset"]
         if offset < VOX_OFFSET:
             raise BadMagic(f"{path}: vox_offset {offset} lies inside the header")
 

@@ -281,17 +281,17 @@ def generate_case(params: SynthParams, seed: int) -> SynthCase:
     gt = Volume(gt_arr, spacing, binary=True)
     pred = Volume(pred_arr, spacing, binary=True)
 
-    gt_ls = find_connected_components(gt, 6)
-    pred_ls = find_connected_components(pred, 6)
+    gt_map = find_connected_components(gt, 6).label_map
+    pred_map = find_connected_components(pred, 6).label_map
     truth_pairs: list[tuple[int, int]] = []
     seen_pred: set[int] = set()
     for idx, (gvox, pvox) in enumerate(placed):
         if pvox is None or idx in merged_away:
             continue
         gx, gy, gz = gvox[0]
-        gid = int(gt_ls.label_map[gx, gy, gz])
+        gid = int(gt_map[gx, gy, gz])
         # representative voxel of the largest intended fragment
-        labels = pred_ls.label_map[pvox[:, 0], pvox[:, 1], pvox[:, 2]]
+        labels = pred_map[pvox[:, 0], pvox[:, 1], pvox[:, 2]]
         labels = labels[labels > 0]
         if len(labels) == 0:
             continue

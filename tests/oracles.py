@@ -178,6 +178,16 @@ def brute_surface_distances(
     )
 
 
+def erosion_surface(mask: np.ndarray) -> np.ndarray:
+    """C-ordered coordinates of mask voxels that face erosion removes.
+
+    The edge of the grid counts as outside.
+    """
+    m = mask != 0
+    face = ndimage.generate_binary_structure(3, 1)
+    return np.argwhere(m & ~ndimage.binary_erosion(m, face, border_value=0))
+
+
 def whole_grid_image_metrics(
     gt: np.ndarray, pred: np.ndarray, variant: str, spacing: tuple
 ) -> tuple:
@@ -192,10 +202,9 @@ def whole_grid_image_metrics(
     dice = None if n_g + n_p == 0 else 2.0 * int((g & p).sum()) / (n_g + n_p)
     if n_g == 0 or n_p == 0:
         return dice, None, None, n_g, n_p
-    face = ndimage.generate_binary_structure(3, 1)
     sp = np.asarray(spacing, dtype=float)
-    a = np.argwhere(g & ~ndimage.binary_erosion(g, face, border_value=0)) * sp
-    b = np.argwhere(p & ~ndimage.binary_erosion(p, face, border_value=0)) * sp
+    a = erosion_surface(g) * sp
+    b = erosion_surface(p) * sp
     d_ab = np.atleast_1d(cKDTree(b).query(a, k=1)[0])
     d_ba = np.atleast_1d(cKDTree(a).query(b, k=1)[0])
     pooled = np.concatenate([d_ab, d_ba])

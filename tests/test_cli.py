@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -243,6 +244,61 @@ def test_bad_nifti_header_fails_one_sample(tmp_path, capsys):
     assert summary["samples"] == ["good"]
     assert [f["sample_id"] for f in summary["failures"]] == ["bad"]
     assert "vox_offset" in capsys.readouterr().err
+
+
+def test_cli_import_loads_no_ndimage_or_synth():
+    # import budget: evaluate needs neither scipy.ndimage nor the synthetic
+    # case generator, and importing them costs setup time on every run
+    import subprocess
+    import sys
+
+    import lesioneval
+
+    src = os.path.dirname(os.path.dirname(lesioneval.__file__))
+    code = (
+        "import sys, lesioneval.cli; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith('scipy.ndimage') or m == 'lesioneval.synth'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": src},
+    ).stdout
+    assert out.strip() == "[]"
+
+
+def test_corrupt_gzip_fails_one_sample(tmp_path, capsys):
+    # a cut-off gzip stream (EOFError) and a damaged one (zlib.error) used to
+    # escape the reader and end the whole run with no reports
+    import gzip
+
+    rng = np.random.default_rng(10)
+    g, p = _make_pair(tmp_path, "good", rng)
+    write_volume(random_blob_mask(rng, (6, 6, 6), 0.3), str(tmp_path / "m.nii"))
+    stream = gzip.compress((tmp_path / "m.nii").read_bytes(), mtime=0)
+    (tmp_path / "cut.nii.gz").write_bytes(stream[: len(stream) // 2])
+    damaged = bytearray(stream)
+    damaged[10] |= 0b110  # first deflate block's type becomes the reserved 3
+    (tmp_path / "damaged.nii.gz").write_bytes(bytes(damaged))
+    manifest = _write_manifest(
+        tmp_path,
+        [
+            ["good", g, p],
+            ["cut", "cut.nii.gz", "cut.nii.gz"],
+            ["damaged", "damaged.nii.gz", "damaged.nii.gz"],
+        ],
+    )
+    out = tmp_path / "out"
+    code = main(["evaluate", "--manifest", str(manifest), "--out", str(out)])
+    assert code == 2
+    summary = json.load(open(out / "summary.json"))
+    assert summary["samples"] == ["good"]
+    assert [f["sample_id"] for f in summary["failures"]] == ["cut", "damaged"]
+    good = json.load(open(out / "samples" / "good.json"))
+    assert good["detection"]["fp"] == good["detection"]["fn"] == 0
+    err = capsys.readouterr().err
+    assert "FAILED cut: TruncatedFile" in err
+    assert "FAILED damaged: BadMagic" in err
 
 
 @pytest.mark.parametrize(

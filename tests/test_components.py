@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask
+from conftest import lesion_boxes, lesion_voxel_sets, mask_from_voxels, random_blob_mask
 from lesioneval.components import find_connected_components
 from lesioneval.errors import NotBinary
-from oracles import flood_fill_components, scipy_label_components
+from oracles import erosion_surface, flood_fill_components, scipy_label_components
 from lesioneval.volume import Volume
 
 
@@ -44,7 +44,9 @@ def _assert_matches_scipy(data, connectivity):
     label_map, lesions = scipy_label_components(data, connectivity)
     assert ls.label_map.dtype == label_map.dtype
     assert np.array_equal(ls.label_map, label_map)
-    assert [(l.id, l.bbox, l.volume_vox) for l in ls.lesions] == lesions
+    assert [
+        (l.id, box, l.volume_vox) for l, box in zip(ls.lesions, lesion_boxes(ls))
+    ] == lesions
     return ls
 
 
@@ -93,7 +95,7 @@ def test_lesions_on_all_six_faces(connectivity):
     arr[4:6, 3:5, 0] = arr[3:6, 1:3, -1] = 1  # z faces
     arr[-1, -1, -1] = arr[0, 0, 0] = 1  # opposite corners
     ls = _assert_matches_scipy(arr, connectivity)
-    boxes = [l.bbox for l in ls.lesions]
+    boxes = lesion_boxes(ls)
     for axis, n in enumerate(dims):
         assert any(b[axis].start == 0 for b in boxes)
         assert any(b[axis].stop == n for b in boxes)
@@ -136,7 +138,7 @@ def test_centered_cube():
     assert len(ls) == 1
     l = ls.lesions[0]
     assert l.volume_vox == 27
-    assert l.bbox == (slice(1, 4),) * 3
+    assert lesion_boxes(ls) == [(slice(1, 4),) * 3]
 
 
 def test_label_ordering_is_zyx_lexicographic():
@@ -155,9 +157,10 @@ def test_volume_mm3_uses_spacing():
 
 def test_single_voxel_stats():
     v = mask_from_voxels([(2, 3, 4)], (6, 6, 6))
-    (l,) = find_connected_components(v).lesions
+    ls = find_connected_components(v)
+    (l,) = ls.lesions
     assert (l.id, l.volume_vox, l.volume_mm3) == (1, 1, 1.0)
-    assert l.bbox == (slice(2, 3), slice(3, 4), slice(4, 5))
+    assert lesion_boxes(ls) == [(slice(2, 3), slice(3, 4), slice(4, 5))]
 
 
 def test_partition_property(rng):
@@ -166,11 +169,10 @@ def test_partition_property(rng):
         ls = find_connected_components(v, 6)
         assert sum(l.volume_vox for l in ls.lesions) == v.foreground_count()
         assert np.array_equal(ls.label_map != 0, v.data != 0)
-        # each lesion lies wholly inside its box, which is tight
+        # each lesion's run holds exactly its voxels in the label map
+        label_map = ls.label_map
         for l, vox in zip(ls.lesions, lesion_voxel_sets(ls)):
-            arr = np.array(sorted(vox))
-            lo, hi = arr.min(axis=0), arr.max(axis=0) + 1
-            assert l.bbox == tuple(slice(int(a), int(b)) for a, b in zip(lo, hi))
+            assert vox == set(map(tuple, np.argwhere(label_map == l.id).tolist()))
             assert l.volume_vox == len(vox)
 
 
@@ -211,3 +213,27 @@ def test_label_map_volume_dump(tmp_path):
     back = read_volume(str(p))
     assert np.array_equal(back.data, ls.label_map)
     assert back.data[3, 3, 3] == 2
+
+
+def _assert_surface_is_erosion(data, connectivity):
+    ls = find_connected_components(Volume(data, (1, 1, 1)), connectivity)
+    pts = ls.coords(np.flatnonzero(ls.surface))
+    assert np.array_equal(pts[np.lexsort(pts.T[::-1])], erosion_surface(data).reshape(-1, 3))
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_surface_flags_equal_face_erosion(rng, connectivity):
+    for dims in [(12, 12, 12), (9, 7, 5), (16, 16, 1), (11, 13, 1), (1, 9, 7), (1, 1, 1)]:
+        for density in (0.1, 0.3, 0.6):
+            _assert_surface_is_erosion(random_blob_mask(rng, dims, density).data, connectivity)
+        _assert_surface_is_erosion((rng.random(dims) < 0.5).astype(np.uint8), connectivity)
+    full = np.ones((4, 3, 2), dtype=np.uint8)
+    _assert_surface_is_erosion(full, connectivity)
+    _assert_surface_is_erosion(np.zeros((4, 3, 2), dtype=np.uint8), connectivity)
+    # lesions touching all six faces of the grid, and a solid core
+    arr = np.zeros((7, 6, 5), dtype=np.uint8)
+    arr[0, 1:3, 1:3] = arr[-1, 2:5, 0:2] = 1
+    arr[2:4, 0, 2:4] = arr[1:3, -1, 1:4] = 1
+    arr[4:6, 3:5, 0] = arr[3:6, 1:3, -1] = 1
+    arr[2:5, 2:5, 1:4] = 1
+    _assert_surface_is_erosion(arr, connectivity)

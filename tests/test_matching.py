@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask
+from conftest import lesion_boxes, lesion_voxel_sets, mask_from_voxels, random_blob_mask
 from lesioneval.components import find_connected_components
 from lesioneval.matching import (
     CandidatePair,
@@ -35,7 +35,7 @@ def test_candidates_count_only_the_lesion_inside_its_box():
     ell = [(x, 0, 0) for x in range(6)] + [(0, y, 0) for y in range(1, 6)]
     inner = [(3, 3, 0), (4, 3, 0), (3, 4, 0), (4, 4, 0)]
     gt = _extract(ell + inner, dims=(8, 8, 2))
-    assert [l.bbox for l in gt.lesions] == [
+    assert lesion_boxes(gt) == [
         (slice(0, 6), slice(0, 6), slice(0, 1)),
         (slice(3, 5), slice(3, 5), slice(0, 1)),
     ]

@@ -286,3 +286,22 @@ def test_image_metrics_match_whole_grid(rng, connectivity, dims):
                 masks[0].data, masks[1].data, variant, spacing
             )
             assert astuple(got) == want
+
+
+def test_evaluate_pair_builds_no_label_map(rng, monkeypatch):
+    # the evaluate path works from the foreground voxels; the dense label
+    # map is only for callers that ask for it
+    from lesioneval.components import LesionSet
+    from lesioneval.pipeline import RunConfig, evaluate_pair
+
+    gt = random_blob_mask(rng, (14, 14, 14), 0.25)
+    pred = random_blob_mask(rng, (14, 14, 14), 0.25)
+    expected = evaluate_pair("s", gt, pred, RunConfig(tau=0.1))
+
+    def refuse(self):
+        raise AssertionError("label_map built on the evaluate path")
+
+    monkeypatch.setattr(LesionSet, "label_map", property(refuse))
+    got = evaluate_pair("s", gt, pred, RunConfig(tau=0.1))
+    assert got == expected
+    assert got.pairs

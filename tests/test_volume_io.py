@@ -219,9 +219,63 @@ def test_hdr_img_pair(tmp_path):
     write_volume(v, str(single))
     raw = bytearray(single.read_bytes())
     raw[344:348] = b"ni1\x00"
+    struct.pack_into("<f", raw, 108, 0.0)  # a pair's voxels start the .img
     (tmp_path / "pair.hdr").write_bytes(bytes(raw[:348]))
     (tmp_path / "pair.img").write_bytes(bytes(raw[VOX_OFFSET:]))
     assert read_volume(str(tmp_path / "pair.hdr")) == v
+
+
+def _pair_with_offset(tmp_path, vox_offset, img):
+    v = Volume(np.zeros((2, 2, 2), dtype=np.uint8), (1, 1, 1))
+    write_volume(v, str(tmp_path / "m.nii"))
+    raw = bytearray((tmp_path / "m.nii").read_bytes()[:348])
+    raw[344:348] = b"ni1\x00"
+    struct.pack_into("<f", raw, 108, vox_offset)
+    (tmp_path / "pair.hdr").write_bytes(bytes(raw))
+    (tmp_path / "pair.img").write_bytes(img)
+    return str(tmp_path / "pair.hdr")
+
+
+def test_hdr_img_pair_honours_vox_offset(tmp_path):
+    # the voxels 0..7 follow 16 bytes of 7s; reading from byte 0 gives 7s
+    hdr = _pair_with_offset(tmp_path, 16.0, b"\x07" * 16 + bytes(range(8)))
+    expected = np.arange(8, dtype=np.uint8).reshape((2, 2, 2), order="F")
+    assert np.array_equal(read_volume(hdr).data, expected)
+    # the size check counts the offset
+    hdr = _pair_with_offset(tmp_path, 16.0, b"\x07" * 16 + bytes(range(7)))
+    with pytest.raises(TruncatedFile):
+        read_volume(hdr)
+
+
+def test_hdr_img_pair_negative_vox_offset_rejected(tmp_path):
+    hdr = _pair_with_offset(tmp_path, -4.0, bytes(range(8)))
+    with pytest.raises(BadMagic, match="vox_offset"):
+        read_volume(hdr)
+
+
+def _corrupt_gzip(stream: bytes, how: str) -> bytes:
+    if how == "cut-in-half":
+        return stream[: len(stream) // 2]
+    b = bytearray(stream)
+    if how == "bad-deflate":
+        b[10] |= 0b110  # first block's type becomes the reserved type 3
+    else:  # bad-crc
+        b[-8] ^= 0xFF
+    return bytes(b)
+
+
+@pytest.mark.parametrize(
+    "how, error",
+    [("cut-in-half", TruncatedFile), ("bad-deflate", BadMagic), ("bad-crc", BadMagic)],
+)
+def test_corrupt_gzip_rejected(tmp_path, how, error):
+    v = Volume(np.ones((6, 5, 4), dtype=np.uint8), (1, 1, 1))
+    write_volume(v, str(tmp_path / "m.nii"))
+    stream = gzip.compress((tmp_path / "m.nii").read_bytes(), mtime=0)
+    p = tmp_path / "m.nii.gz"
+    p.write_bytes(_corrupt_gzip(stream, how))
+    with pytest.raises(error):
+        read_volume(str(p))
 
 
 def test_byte_count_2x2x2_binary(tmp_path):
