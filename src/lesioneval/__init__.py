@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .volume import Volume, binarize, check_compatibility  # noqa: E402,F401
+from .volume import Foreground, Volume, binarize, check_compatibility  # noqa: E402,F401
 from .components import (  # noqa: E402,F401
     Lesion,
     LesionSet,
@@ -26,6 +26,6 @@ from .metrics import (  # noqa: E402,F401
     hd95,
     surface_voxels,
 )
-from .nifti import read_volume, write_volume  # noqa: E402,F401
+from .nifti import read_foreground, read_volume, write_volume  # noqa: E402,F401
 from .pipeline import ManifestRow, RunConfig, evaluate_pair, evaluate_sample  # noqa: E402,F401
 from .stratify import SIZE_BINS, SizeBin, categorize, rollup, stratify  # noqa: E402,F401

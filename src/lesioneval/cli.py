@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from . import __version__
 from .components import find_connected_components
 from .errors import LesionEvalError, ManifestParseError
-from .nifti import read_volume
+from .nifti import read_foreground
 from .pipeline import (
     ManifestRow,
     RunConfig,
@@ -19,7 +19,6 @@ from .pipeline import (
 )
 from .report import emit_reports
 from .stratify import BIN_NAMES, categorize
-from .volume import binarize
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -161,12 +160,11 @@ def _cmd_tune_tau(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    vol = read_volume(args.volume)
-    mask = binarize(vol, args.threshold)
-    print(f"dims: {vol.dims[0]} x {vol.dims[1]} x {vol.dims[2]}")
-    print(f"spacing (mm): {vol.spacing[0]:g} x {vol.spacing[1]:g} x {vol.spacing[2]:g}")
-    print(f"foreground voxels: {mask.foreground_count()}")
-    by_conn = {conn: find_connected_components(mask, conn) for conn in (6, 18, 26)}
+    fg = read_foreground(args.volume, args.threshold)
+    print(f"dims: {fg.dims[0]} x {fg.dims[1]} x {fg.dims[2]}")
+    print(f"spacing (mm): {fg.spacing[0]:g} x {fg.spacing[1]:g} x {fg.spacing[2]:g}")
+    print(f"foreground voxels: {fg.index.size}")
+    by_conn = {conn: find_connected_components(fg, conn) for conn in (6, 18, 26)}
     for conn, ls in by_conn.items():
         print(f"lesions (connectivity {conn}): {len(ls)}")
     counts = {name: 0 for name in BIN_NAMES}

@@ -7,8 +7,7 @@ import numpy as np
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
-from .errors import NotBinary
-from .volume import Volume
+from .volume import Foreground, Volume
 
 # connectivity -> the (dx, dy, dz) neighbour offsets that come later in
 # (z, y, x) scan order: each neighbour pair is then seen exactly once
@@ -68,8 +67,13 @@ class LesionSet:
         return labels_zyx.T
 
 
-def find_connected_components(mask: Volume, connectivity: int = 6) -> LesionSet:
+def find_connected_components(
+    mask: Foreground | Volume, connectivity: int = 6
+) -> LesionSet:
     """Partition the foreground of a binary mask into maximal components.
+
+    A volume is taken through ``Foreground.from_mask``, which requires
+    0/1 voxels.
 
     Labels are assigned deterministically: components are numbered 1..N by
     their minimum voxel in lexicographic (z, y, x) order. A voxel is on the
@@ -79,18 +83,11 @@ def find_connected_components(mask: Volume, connectivity: int = 6) -> LesionSet:
     """
     if connectivity not in _FORWARD:
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity}")
-    data = mask.data
-    nx, ny, nz = data.shape
-    # foreground as ascending z-major linear indices, i.e. in (z, y, x) order
-    idx = np.flatnonzero(data.T != 0)
+    fg = Foreground.from_mask(mask) if isinstance(mask, Volume) else mask
+    idx = fg.index
+    nx, ny, nz = fg.dims
     z, rest = np.divmod(idx, nx * ny)
     y, x = np.divmod(rest, nx)
-    vals = data[x, y, z]
-    bad = vals != 1
-    if bad.any():
-        raise NotBinary(
-            f"mask contains values other than 0/1: {np.unique(vals[bad])[:10]}"
-        )
 
     # one edge per pair of foreground neighbours, found by binary search;
     # the bounds check keeps a step from wrapping into the next row or slice
@@ -118,7 +115,7 @@ def find_connected_components(mask: Volume, connectivity: int = 6) -> LesionSet:
 
     sizes = np.bincount(labels)[1:]
     starts = np.concatenate([[0], np.cumsum(sizes)])
-    voxel_mm3 = float(np.prod(mask.spacing))
+    voxel_mm3 = float(np.prod(fg.spacing))
     lesions = [
         Lesion(lesion_id, n, n * voxel_mm3)
         for lesion_id, n in enumerate(sizes.tolist(), start=1)

@@ -47,3 +47,7 @@ class PlacementFailure(LesionEvalError):
 
 class ManifestParseError(LesionEvalError):
     """Evaluation manifest is malformed."""
+
+
+class NanVoxels(LesionEvalError):
+    """Volume holds NaN voxels, which no threshold can call lesion or background."""

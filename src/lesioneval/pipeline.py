@@ -13,9 +13,9 @@ from .metrics import (
     compute_instance_metrics,
     compute_lesion_metrics,
 )
-from .nifti import read_volume
+from .nifti import read_foreground
 from .stratify import SampleResult, stratify
-from .volume import Volume, binarize, check_compatibility
+from .volume import Foreground, Volume, binarize, check_compatibility
 
 
 @dataclass(frozen=True)
@@ -87,13 +87,25 @@ def evaluate_pair(
     with_trace: bool = False,
 ) -> SampleResult:
     """Binarize, extract, match, measure and stratify one mask pair."""
-    check_compatibility(gt_vol, pred_vol)
-    gt_bin = binarize(gt_vol, config.binarize_threshold)
-    pred_bin = binarize(pred_vol, config.binarize_threshold)
-    spacing = gt_bin.spacing if config.distance_units == "mm" else (1.0, 1.0, 1.0)
+    t = config.binarize_threshold
+    gt = Foreground.from_mask(binarize(gt_vol, t))
+    pred = Foreground.from_mask(binarize(pred_vol, t))
+    return _evaluate(sample_id, gt, pred, config, model_tag, with_trace)
 
-    gt_ls = find_connected_components(gt_bin, config.connectivity)
-    pred_ls = find_connected_components(pred_bin, config.connectivity)
+
+def _evaluate(
+    sample_id: str,
+    gt: Foreground,
+    pred: Foreground,
+    config: RunConfig,
+    model_tag: str,
+    with_trace: bool,
+) -> SampleResult:
+    check_compatibility(gt, pred)
+    spacing = gt.spacing if config.distance_units == "mm" else (1.0, 1.0, 1.0)
+
+    gt_ls = find_connected_components(gt, config.connectivity)
+    pred_ls = find_connected_components(pred, config.connectivity)
     match = match_lesions(gt_ls, pred_ls, config.tau, with_trace=with_trace)
     pairs = [
         compute_lesion_metrics(gt_ls, pred_ls, g, p, spacing, config.hd95_variant)
@@ -117,9 +129,10 @@ def evaluate_pair(
 
 
 def evaluate_sample(row: ManifestRow, config: RunConfig) -> SampleResult:
-    gt_vol = read_volume(row.gt_path)
-    pred_vol = read_volume(row.pred_path)
-    return evaluate_pair(row.sample_id, gt_vol, pred_vol, config, row.model_tag)
+    """``evaluate_pair`` on two files, each streamed to its foreground."""
+    gt = read_foreground(row.gt_path, config.binarize_threshold)
+    pred = read_foreground(row.pred_path, config.binarize_threshold)
+    return _evaluate(row.sample_id, gt, pred, config, row.model_tag, False)
 
 
 def read_manifest(path: str) -> list[ManifestRow]:

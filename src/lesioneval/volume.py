@@ -1,4 +1,4 @@
-"""In-memory 3D mask volume and basic volume-level operations."""
+"""In-memory 3D mask volumes, their foregrounds, and volume-level operations."""
 from __future__ import annotations
 
 import math
@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimsMismatch, SpacingMismatch
+from .errors import DimsMismatch, NanVoxels, NotBinary, SpacingMismatch
 
 SPACING_RTOL = 1e-4
 
@@ -50,13 +50,46 @@ class Volume:
         )
 
 
+@dataclass(frozen=True)
+class Foreground:
+    """The foreground voxels of a binary mask, without its grid."""
+
+    index: np.ndarray  # ascending z-major linear indices, i.e. (z, y, x) scan order
+    dims: tuple[int, int, int]  # [x, y, z] extent of the grid
+    spacing: tuple[float, float, float]
+
+    @classmethod
+    def from_mask(cls, mask: Volume) -> "Foreground":
+        """The foreground of a 0/1 volume; any other value raises NotBinary."""
+        data = mask.data
+        idx = np.flatnonzero(data.T != 0)
+        vals = data[np.unravel_index(idx, data.shape, order="F")]
+        bad = vals != 1
+        if bad.any():
+            raise NotBinary(
+                f"mask contains values other than 0/1: {np.unique(vals[bad])[:10]}"
+            )
+        return cls(idx, mask.dims, mask.spacing)
+
+
+def above(data: np.ndarray, threshold: float, source: str | None) -> np.ndarray:
+    """``data > threshold``; raises NanVoxels if any voxel is NaN.
+
+    NaN compares False with every threshold, so it would silently become
+    background. ``max`` propagates NaN, so one reduction finds it.
+    """
+    if data.dtype.kind == "f" and np.isnan(data.max()):
+        raise NanVoxels(f"{source or 'volume'}: NaN voxels cannot be thresholded")
+    return data > threshold
+
+
 def binarize(v: Volume, threshold: float = 0.5) -> Volume:
     """Threshold a volume: voxel > threshold becomes 1, else 0."""
-    out = (v.data > threshold).view(np.uint8)
+    out = above(v.data, threshold, v.source_path).view(np.uint8)
     return Volume(out, v.spacing, source_path=v.source_path, binary=True)
 
 
-def check_compatibility(gt: Volume, pred: Volume) -> None:
+def check_compatibility(gt: Volume | Foreground, pred: Volume | Foreground) -> None:
     """Require identical dims and spacing equal within relative tolerance."""
     if gt.dims != pred.dims:
         raise DimsMismatch(f"dims {gt.dims} vs {pred.dims}")

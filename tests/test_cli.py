@@ -178,6 +178,34 @@ def test_inspect_gzip_matches_plain(tmp_path, capsys):
     assert capsys.readouterr().out == plain
 
 
+def test_inspect_scaled_float32_gzip(tmp_path, capsys):
+    # inspect streams the foreground; its output is the one the dense
+    # read-and-binarize path printed for this file
+    import gzip
+    import struct
+
+    from lesioneval.volume import Volume
+
+    stored = ((np.arange(12 * 10 * 8) * 7919) % 23 / 10).astype(np.float32)
+    write_volume(Volume(stored.reshape((12, 10, 8)), (0.75, 1.0, 2.5)), str(tmp_path / "m.nii"))
+    raw = bytearray((tmp_path / "m.nii").read_bytes())
+    struct.pack_into("<2f", raw, 112, 0.5, 0.1)  # scl_slope, scl_inter
+    (tmp_path / "m.nii.gz").write_bytes(gzip.compress(bytes(raw), mtime=0))
+    assert main(["inspect", str(tmp_path / "m.nii.gz")]) == 0
+    assert capsys.readouterr().out == (
+        "dims: 12 x 10 x 8\n"
+        "spacing (mm): 0.75 x 1 x 2.5\n"
+        "foreground voxels: 584\n"
+        "lesions (connectivity 6): 20\n"
+        "lesions (connectivity 18): 1\n"
+        "lesions (connectivity 26): 1\n"
+        "  VerySmall: 14\n"
+        "  Small: 4\n"
+        "  Medium: 2\n"
+        "  Large: 0\n"
+    )
+
+
 def test_tune_tau_outputs(tmp_path):
     out = tmp_path / "tune"
     code = main(["tune-tau", "--seed", "1", "--cases", "4", "--out", str(out)])
@@ -328,3 +356,26 @@ def test_bad_manifest_row_rejected(tmp_path, capsys, bad_row):
     assert code == 1
     assert not (tmp_path / "run").exists()
     assert str(manifest) in capsys.readouterr().err
+
+
+def test_nan_prediction_fails_one_sample(tmp_path, capsys):
+    # NaN > threshold is False: a prediction whose only lesion is NaN used to
+    # score as a clean miss (fn 1) with exit 0
+    from lesioneval.volume import Volume
+
+    rng = np.random.default_rng(12)
+    g, p = _make_pair(tmp_path, "good", rng)
+    gt = np.zeros((6, 6, 6), np.uint8)
+    gt[1:4, 1:4, 1:4] = 1
+    pred = np.where(gt == 1, np.nan, 0.0).astype(np.float32)
+    write_volume(Volume(gt, (1, 1, 1)), str(tmp_path / "nan_gt.nii.gz"))
+    write_volume(Volume(pred, (1, 1, 1)), str(tmp_path / "nan_pred.nii.gz"))
+    manifest = _write_manifest(
+        tmp_path, [["good", g, p], ["nan", "nan_gt.nii.gz", "nan_pred.nii.gz"]]
+    )
+    out = tmp_path / "out"
+    assert main(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["samples"] == ["good"]
+    assert [f["sample_id"] for f in summary["failures"]] == ["nan"]
+    assert "FAILED nan: NanVoxels" in capsys.readouterr().err
