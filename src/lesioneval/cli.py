@@ -26,15 +26,24 @@ EXIT_PARTIAL = 2
 
 
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tau", type=float, default=0.35, help="IoU match threshold")
-    p.add_argument("--connectivity", type=int, choices=(6, 18, 26), default=6)
-    p.add_argument("--distance-units", choices=("mm", "voxels"), default="mm")
+    d = RunConfig()
+    p.add_argument("--tau", type=float, default=d.tau, help="IoU match threshold")
     p.add_argument(
-        "--hd95-variant", choices=("pooled", "max-of-directed"), default="pooled"
+        "--connectivity", type=int, choices=(6, 18, 26), default=d.connectivity
     )
-    p.add_argument("--threshold", type=float, default=0.5, help="binarize threshold")
+    p.add_argument(
+        "--distance-units", choices=("mm", "voxels"), default=d.distance_units
+    )
+    p.add_argument(
+        "--hd95-variant", choices=("pooled", "max-of-directed"),
+        default=d.hd95_variant,
+    )
+    p.add_argument(
+        "--threshold", type=float, default=d.binarize_threshold,
+        help="binarize threshold",
+    )
     p.add_argument("--out", default="lesioneval-out", help="output directory")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=d.parallelism)
     p.add_argument("--format", choices=("json", "csv", "both"), default="both")
 
 
@@ -64,7 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ins = sub.add_parser("inspect", help="summarize one mask volume")
     ins.add_argument("volume")
-    ins.add_argument("--threshold", type=float, default=0.5)
+    ins.add_argument(
+        "--threshold", type=float, default=RunConfig().binarize_threshold
+    )
     return parser
 
 

@@ -28,6 +28,11 @@ class MatchSet:
     trace: list[str] = field(default_factory=list, repr=False)
 
 
+def iou_counts(inter: int, na: int, nb: int) -> float:
+    """IoU of two non-empty voxel sets from their sizes and overlap."""
+    return inter / (na + nb - inter)
+
+
 def generate_candidates(
     gt: LesionSet, pred: LesionSet, tau: float = DEFAULT_TAU
 ) -> list[CandidatePair]:
@@ -47,7 +52,7 @@ def generate_candidates(
     out: list[CandidatePair] = []
     for key, inter in zip(keys.tolist(), counts.tolist()):
         gid, pid = divmod(key, stride)
-        iou = inter / (gt.by_id(gid).volume_vox + pred.by_id(pid).volume_vox - inter)
+        iou = iou_counts(inter, gt.by_id(gid).volume_vox, pred.by_id(pid).volume_vox)
         if iou > tau:
             out.append(CandidatePair(gid, pid, iou))
     return out

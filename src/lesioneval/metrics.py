@@ -8,7 +8,7 @@ from scipy.spatial import cKDTree
 
 from .components import LesionSet, find_connected_components
 from .errors import EmptySet
-from .matching import MatchSet
+from .matching import MatchSet, iou_counts
 from .volume import Volume
 
 
@@ -125,7 +125,7 @@ def compute_lesion_metrics(
         gt_id=gt_id,
         pred_id=pred_id,
         dice=_dice_counts(inter, g.volume_vox, p.volume_vox),
-        iou=inter / (g.volume_vox + p.volume_vox - inter),
+        iou=iou_counts(inter, g.volume_vox, p.volume_vox),
         hd95_mm=_surface_distances(
             gt.coords(ga[gt.surface[ga]]),
             pred.coords(pa[pred.surface[pa]]),

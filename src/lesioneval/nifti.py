@@ -275,7 +275,10 @@ def _build_header(v: Volume, code: int, bitpix: int) -> bytes:
 
 
 def write_volume(v: Volume, path: str) -> None:
-    """Write a volume as single-file NIfTI-1 (gzipped for .gz) or JSON fixture."""
+    """Write a volume as single-file NIfTI-1 (gzipped for .gz) or JSON fixture.
+
+    Bool data is written as uint8.
+    """
     path = str(path)
     if path.endswith(".json"):
         obj = {
@@ -290,9 +293,7 @@ def write_volume(v: Volume, path: str) -> None:
             raise IoFailure(f"cannot write {path}: {e}") from e
         return
 
-    data = v.data
-    if v.binary and data.dtype != np.uint8:
-        data = data.astype(np.uint8)
+    data = v.data.view(np.uint8) if v.data.dtype == bool else v.data
     dtype = data.dtype.newbyteorder("=")
     if dtype not in CODE_BY_DTYPE:
         raise UnsupportedDatatype(f"cannot encode dtype {dtype}")

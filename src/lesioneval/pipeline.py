@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .components import find_connected_components
 from .errors import ManifestParseError
-from .matching import match_lesions
+from .matching import DEFAULT_TAU, match_lesions
 from .metrics import (
     compute_image_metrics,
     compute_instance_metrics,
@@ -20,7 +20,7 @@ from .volume import Foreground, Volume, binarize, check_compatibility
 
 @dataclass(frozen=True)
 class RunConfig:
-    tau: float = 0.35
+    tau: float = DEFAULT_TAU
     connectivity: int = 6
     distance_units: str = "mm"  # mm | voxels
     hd95_variant: str = "pooled"  # pooled | max-of-directed

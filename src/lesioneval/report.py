@@ -10,7 +10,7 @@ from dataclasses import asdict
 from . import __version__
 from .errors import IoFailure
 from .pipeline import RunConfig, SampleFailure, check_sample_id
-from .stratify import BIN_NAMES, BinAggregate, SampleResult, rollup
+from .stratify import BIN_NAMES, SampleResult, rollup
 
 SCHEMA_VERSION = 1
 
@@ -20,10 +20,6 @@ def _fmt2(x: float | None) -> str:
     if x is None:
         return ""
     return f"{round(float(x), 2):.2f}"
-
-
-def _bin_dict(b: BinAggregate) -> dict:
-    return asdict(b)
 
 
 def _sample_payload(s: SampleResult, config: RunConfig) -> dict:
@@ -38,7 +34,7 @@ def _sample_payload(s: SampleResult, config: RunConfig) -> dict:
         "detection": asdict(s.detection),
         "image_metrics": asdict(s.image),
         "matched_pairs": [asdict(p) for p in s.pairs],
-        "per_bin": {name: _bin_dict(s.per_bin[name]) for name in BIN_NAMES},
+        "per_bin": {name: asdict(s.per_bin[name]) for name in BIN_NAMES},
         "lesion_records": [asdict(r) for r in s.records],
     }
 
@@ -100,7 +96,7 @@ def emit_reports(
         "samples": [s.sample_id for s in samples],
         "failures": [{"sample_id": f.sample_id, "reason": f.reason} for f in failures],
         "per_model": {
-            tag: {name: _bin_dict(bins[name]) for name in BIN_NAMES}
+            tag: {name: asdict(bins[name]) for name in BIN_NAMES}
             for tag, bins in rolled.items()
         },
         "per_sample": {

@@ -1,4 +1,4 @@
-"""Size-bin stratification and per-bin/per-sample aggregation."""
+"""Size-bin stratification and the per-bin aggregation of lesion records."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -92,6 +92,35 @@ def _aggregate(values: list[float]) -> tuple[float | None, float | None]:
     return float(arr.mean()), float(np.median(arr))
 
 
+def aggregate_bins(records: list[LesionRecord]) -> dict[str, BinAggregate]:
+    """The per-bin table of a list of lesion records.
+
+    TP and FN records are the bin's GT lesions. Dice and HD95 are summarised
+    over the TP records in the order given, so the same records in the same
+    order always give the same floats.
+    """
+    by_bin: dict[str, list[LesionRecord]] = {name: [] for name in BIN_NAMES}
+    for r in records:
+        by_bin[r.size_bin].append(r)
+
+    per_bin: dict[str, BinAggregate] = {}
+    for name, rs in by_bin.items():
+        tps = [r for r in rs if r.status == "TP"]
+        tp = len(tps)
+        fp = sum(r.status == "FP" for r in rs)
+        fn = len(rs) - tp - fp
+        precision, recall, f1 = detection_rates(tp, fp, fn)
+        dm, dmed = _aggregate([r.dice for r in tps])
+        hm, hmed = _aggregate([r.hd95 for r in tps])
+        per_bin[name] = BinAggregate(
+            n_gt=tp + fn, tp=tp, fp=fp, fn=fn,
+            precision=precision, recall=recall, f1=f1,
+            dice_mean=dm, dice_median=dmed,
+            hd95_mean=hm, hd95_median=hmed,
+        )
+    return per_bin
+
+
 def stratify(
     gt: LesionSet,
     pred: LesionSet,
@@ -105,19 +134,10 @@ def stratify(
     """
     by_gt = {pm.gt_id: pm for pm in pairs}
     records: list[LesionRecord] = []
-    tallies = {name: {"tp": 0, "fp": 0, "fn": 0} for name in BIN_NAMES}
-    bin_dice: dict[str, list[float]] = {name: [] for name in BIN_NAMES}
-    bin_hd95: dict[str, list[float]] = {name: [] for name in BIN_NAMES}
-    n_gt_bin = {name: 0 for name in BIN_NAMES}
-
     for g in gt.lesions:
         name = categorize(g.volume_vox).name
-        n_gt_bin[name] += 1
         pm = by_gt.get(g.id)
         if pm is not None:
-            tallies[name]["tp"] += 1
-            bin_dice[name].append(pm.dice)
-            bin_hd95[name].append(pm.hd95_mm)
             records.append(
                 LesionRecord(
                     g.id, "TP", g.volume_vox, pm.pred_vox, name,
@@ -125,7 +145,6 @@ def stratify(
                 )
             )
         else:
-            tallies[name]["fn"] += 1
             records.append(
                 LesionRecord(g.id, "FN", g.volume_vox, None, name, None, None, None)
             )
@@ -133,64 +152,20 @@ def stratify(
     for pid in match.unmatched_pred:
         p = pred.by_id(pid)
         name = categorize(p.volume_vox).name
-        tallies[name]["fp"] += 1
         records.append(
             LesionRecord(p.id, "FP", None, p.volume_vox, name, None, None, None)
         )
-
-    per_bin: dict[str, BinAggregate] = {}
-    for name in BIN_NAMES:
-        t = tallies[name]
-        precision, recall, f1 = detection_rates(t["tp"], t["fp"], t["fn"])
-        dm, dmed = _aggregate(bin_dice[name])
-        hm, hmed = _aggregate(bin_hd95[name])
-        per_bin[name] = BinAggregate(
-            n_gt=n_gt_bin[name],
-            tp=t["tp"], fp=t["fp"], fn=t["fn"],
-            precision=precision, recall=recall, f1=f1,
-            dice_mean=dm, dice_median=dmed,
-            hd95_mean=hm, hd95_median=hmed,
-        )
-    return per_bin, records
+    return aggregate_bins(records), records
 
 
 def rollup(samples: list[SampleResult]) -> dict[str, dict[str, BinAggregate]]:
-    """Pooled per-bin aggregates over all samples, grouped by model tag.
+    """Per-bin aggregates of each model tag's pooled lesion records.
 
-    Every matched lesion is weighted equally across samples (pooled), with
-    counts summed; order of arrival does not matter.
+    Every lesion counts once, whichever sample it came from. Samples are
+    pooled in sample_id order, so the result does not depend on the order
+    they arrive in.
     """
-    groups: dict[str, list[SampleResult]] = {}
-    for s in samples:
-        groups.setdefault(s.model_tag, []).append(s)
-
-    out: dict[str, dict[str, BinAggregate]] = {}
-    for tag in sorted(groups):
-        members = groups[tag]
-        dices: dict[str, list[float]] = {name: [] for name in BIN_NAMES}
-        hd95s: dict[str, list[float]] = {name: [] for name in BIN_NAMES}
-        for s in members:
-            for r in s.records:
-                if r.status == "TP":
-                    dices[r.size_bin].append(r.dice)
-                    hd95s[r.size_bin].append(r.hd95)
-        per_bin: dict[str, BinAggregate] = {}
-        for name in BIN_NAMES:
-            n_gt = tp = fp = fn = 0
-            for s in members:
-                b = s.per_bin[name]
-                n_gt += b.n_gt
-                tp += b.tp
-                fp += b.fp
-                fn += b.fn
-            precision, recall, f1 = detection_rates(tp, fp, fn)
-            dm, dmed = _aggregate(dices[name])
-            hm, hmed = _aggregate(hd95s[name])
-            per_bin[name] = BinAggregate(
-                n_gt=n_gt, tp=tp, fp=fp, fn=fn,
-                precision=precision, recall=recall, f1=f1,
-                dice_mean=dm, dice_median=dmed,
-                hd95_mean=hm, hd95_median=hmed,
-            )
-        out[tag] = per_bin
-    return out
+    pooled: dict[str, list[LesionRecord]] = {}
+    for s in sorted(samples, key=lambda s: s.sample_id):
+        pooled.setdefault(s.model_tag, []).extend(s.records)
+    return {tag: aggregate_bins(pooled[tag]) for tag in sorted(pooled)}

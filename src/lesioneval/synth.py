@@ -278,8 +278,8 @@ def generate_case(params: SynthParams, seed: int) -> SynthCase:
         log.append(f"spurious blob of {target} voxels")
 
     spacing = tuple(params.spacing)
-    gt = Volume(gt_arr, spacing, binary=True)
-    pred = Volume(pred_arr, spacing, binary=True)
+    gt = Volume(gt_arr, spacing)
+    pred = Volume(pred_arr, spacing)
 
     gt_map = find_connected_components(gt, 6).label_map
     pred_map = find_connected_components(pred, 6).label_map

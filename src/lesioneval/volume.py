@@ -21,7 +21,6 @@ class Volume:
     data: np.ndarray
     spacing: tuple[float, float, float]
     source_path: str | None = None
-    binary: bool = False
     spacing_was_fixed: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -86,7 +85,7 @@ def above(data: np.ndarray, threshold: float, source: str | None) -> np.ndarray:
 def binarize(v: Volume, threshold: float = 0.5) -> Volume:
     """Threshold a volume: voxel > threshold becomes 1, else 0."""
     out = above(v.data, threshold, v.source_path).view(np.uint8)
-    return Volume(out, v.spacing, source_path=v.source_path, binary=True)
+    return Volume(out, v.spacing, source_path=v.source_path)
 
 
 def check_compatibility(gt: Volume | Foreground, pred: Volume | Foreground) -> None:

@@ -16,14 +16,14 @@ def random_blob_mask(rng: np.random.Generator, dims, density: float) -> Volume:
     noise = rng.random(dims)
     smooth = ndimage.gaussian_filter(noise, sigma=1.2)
     thr = np.quantile(smooth, 1.0 - density)
-    return Volume((smooth > thr).astype(np.uint8), (1.0, 1.0, 1.0), binary=True)
+    return Volume((smooth > thr).astype(np.uint8), (1.0, 1.0, 1.0))
 
 
 def mask_from_voxels(voxels, dims, spacing=(1.0, 1.0, 1.0)) -> Volume:
     arr = np.zeros(dims, dtype=np.uint8)
     for x, y, z in voxels:
         arr[x, y, z] = 1
-    return Volume(arr, spacing, binary=True)
+    return Volume(arr, spacing)
 
 
 def lesion_voxel_sets(ls) -> list[frozenset]:

@@ -6,6 +6,7 @@ report lines.
 import csv
 import json
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -132,10 +133,10 @@ def test_criterion_07_aggregate_vs_lesionwise_divergence():
     arr[0:10, 0:10, 0:10] = 1  # 1000-voxel cube
     for i in range(5):
         arr[15 + 5 * i, 0:5, 0:2] = 1  # five 10-voxel lesions
-    gt = Volume(arr, (1, 1, 1), binary=True)
+    gt = Volume(arr, (1, 1, 1))
     pred_arr = np.zeros_like(arr)
     pred_arr[0:10, 0:10, 0:10] = 1
-    pred = Volume(pred_arr, (1, 1, 1), binary=True)
+    pred = Volume(pred_arr, (1, 1, 1))
 
     gt_ls, pred_ls = find_connected_components(gt), find_connected_components(pred)
     im = compute_image_metrics(gt_ls, pred_ls, "pooled", (1, 1, 1))
@@ -160,16 +161,17 @@ def test_criterion_08_tau_threshold_semantics():
 
 
 def test_criterion_09_degenerate_formatting(tmp_path):
-    gt = Volume(np.zeros((20, 20, 20), dtype=np.uint8), (1, 1, 1), binary=True)
+    gt = Volume(np.zeros((20, 20, 20), dtype=np.uint8), (1, 1, 1))
     pred_arr = np.zeros((20, 20, 20), dtype=np.uint8)
     pred_arr[0:2, 0:2, 0:1] = 1
-    pred = Volume(pred_arr, (1, 1, 1), binary=True)
+    pred = Volume(pred_arr, (1, 1, 1))
     s = evaluate_pair("deg", gt, pred, RunConfig())
     paths = emit_reports([s], RunConfig(), str(tmp_path / "out"))
-    rows = {r["size_bin"]: r for r in csv.DictReader(open(paths["stratified"]))}
+    text = Path(paths["stratified"]).read_text()
+    rows = {r["size_bin"]: r for r in csv.DictReader(text.splitlines())}
     assert rows["VerySmall"]["hd95"] == ""
     assert rows["VerySmall"]["f1"] == ""
-    summary = json.load(open(paths["summary"]))
+    summary = json.loads(Path(paths["summary"]).read_text())
     b = summary["per_model"]["model"]["VerySmall"]
     assert b["hd95_mean"] is None and b["hd95_median"] is None and b["f1"] is None
     _ok(9, "undefined metrics as empty cells / nulls")
@@ -236,12 +238,12 @@ def test_criterion_12_performance_256_cube():
         pos = rng.integers(0, 256 - 16, 3)
         arr[pos[0]:pos[0] + side, pos[1]:pos[1] + side, pos[2]:pos[2] + side] = 1
         centers.append((pos, side))
-    gt = Volume(arr, (1, 1, 1), binary=True)
+    gt = Volume(arr, (1, 1, 1))
     pred_arr = np.zeros_like(arr)
     for (pos, side), jitter in zip(centers, rng.integers(0, 2, 200)):
         p = pos + jitter
         pred_arr[p[0]:p[0] + side, p[1]:p[1] + side, p[2]:p[2] + side] = 1
-    pred = Volume(pred_arr, (1, 1, 1), binary=True)
+    pred = Volume(pred_arr, (1, 1, 1))
 
     t0 = time.perf_counter()
     s = evaluate_pair("perf", gt, pred, RunConfig())

@@ -9,7 +9,7 @@ from conftest import random_blob_mask
 from lesioneval.cli import main
 from lesioneval.errors import ManifestParseError
 from lesioneval.nifti import write_volume
-from lesioneval.pipeline import read_manifest
+from lesioneval.pipeline import RunConfig, read_manifest
 from lesioneval.synth import SynthParams, generate_case
 
 
@@ -40,9 +40,19 @@ def test_evaluate_perfect_sample(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["evaluate", "--manifest", str(manifest), "--out", str(out)])
     assert code == 0
-    sample = json.load(open(out / "samples" / "a.json"))
+    sample = json.loads((out / "samples" / "a.json").read_text())
     assert sample["detection"]["fp"] == 0 and sample["detection"]["fn"] == 0
     assert sample["detection"]["tp"] == sample["gt_lesions"]
+
+
+def test_evaluate_defaults_are_run_config_defaults(tmp_path):
+    g, p = _make_pair(tmp_path, "a", np.random.default_rng(0))
+    out = tmp_path / "out"
+    code = main(["evaluate", "--gt", str(tmp_path / g), "--pred", str(tmp_path / p),
+                 "--out", str(out)])
+    assert code == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["config"] == RunConfig().provenance()
 
 
 def test_evaluate_missing_file_partial_failure(tmp_path, capsys):
@@ -54,7 +64,7 @@ def test_evaluate_missing_file_partial_failure(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["evaluate", "--manifest", str(manifest), "--out", str(out)])
     assert code == 2
-    summary = json.load(open(out / "summary.json"))
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["samples"] == ["ok"]
     assert summary["failures"][0]["sample_id"] == "bad"
     assert "FAILED bad" in capsys.readouterr().err
@@ -137,7 +147,7 @@ def test_model_tag_column(tmp_path):
     )
     out = tmp_path / "out"
     main(["evaluate", "--manifest", str(manifest), "--out", str(out)])
-    rows = list(csv.DictReader(open(out / "stratified.csv")))
+    rows = list(csv.DictReader((out / "stratified.csv").read_text().splitlines()))
     assert {r["model_tag"] for r in rows} == {"net1", "net2"}
 
 
@@ -146,7 +156,7 @@ def test_inspect(tmp_path, capsys):
     arr[0:5, 0:5, 0:2] = 1  # one 50-voxel lesion
     from lesioneval.volume import Volume
 
-    write_volume(Volume(arr, (1, 1, 1), binary=True), str(tmp_path / "m.nii"))
+    write_volume(Volume(arr, (1, 1, 1)), str(tmp_path / "m.nii"))
     assert main(["inspect", str(tmp_path / "m.nii")]) == 0
     text = capsys.readouterr().out
     assert "foreground voxels: 50" in text
@@ -158,7 +168,7 @@ def test_inspect_empty_mask(tmp_path, capsys):
     from lesioneval.volume import Volume
 
     write_volume(
-        Volume(np.zeros((6, 6, 6), dtype=np.uint8), (1, 1, 1), binary=True),
+        Volume(np.zeros((6, 6, 6), dtype=np.uint8), (1, 1, 1)),
         str(tmp_path / "e.nii.gz"),
     )
     main(["inspect", str(tmp_path / "e.nii.gz")])
@@ -210,9 +220,9 @@ def test_tune_tau_outputs(tmp_path):
     out = tmp_path / "tune"
     code = main(["tune-tau", "--seed", "1", "--cases", "4", "--out", str(out)])
     assert code == 0
-    best = json.load(open(out / "best_tau.json"))
+    best = json.loads((out / "best_tau.json").read_text())
     assert 0 <= best["best_tau"] < 1
-    rows = list(csv.DictReader(open(out / "tau_sweep.csv")))
+    rows = list(csv.DictReader((out / "tau_sweep.csv").read_text().splitlines()))
     assert len(rows) == 19  # default 0.05..0.95 grid
     # deterministic given seed
     out2 = tmp_path / "tune2"
@@ -227,7 +237,7 @@ def test_provenance_in_reports(tmp_path):
     out = tmp_path / "out"
     main(["evaluate", "--manifest", str(m), "--tau", "0.4",
           "--connectivity", "26", "--out", str(out)])
-    summary = json.load(open(out / "summary.json"))
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["config"]["tau"] == 0.4
     assert summary["config"]["connectivity"] == 26
     assert summary["tool_version"]
@@ -244,7 +254,7 @@ def test_malformed_json_fixture_fails_one_sample(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["evaluate", "--manifest", str(manifest), "--out", str(out)])
     assert code == 2
-    summary = json.load(open(out / "summary.json"))
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["samples"] == ["good"]
     assert [f["sample_id"] for f in summary["failures"]] == ["bad"]
     assert "FAILED bad" in capsys.readouterr().err
@@ -268,7 +278,7 @@ def test_bad_nifti_header_fails_one_sample(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["evaluate", "--manifest", str(manifest), "--out", str(out)])
     assert code == 2
-    summary = json.load(open(out / "summary.json"))
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["samples"] == ["good"]
     assert [f["sample_id"] for f in summary["failures"]] == ["bad"]
     assert "vox_offset" in capsys.readouterr().err
@@ -319,10 +329,10 @@ def test_corrupt_gzip_fails_one_sample(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["evaluate", "--manifest", str(manifest), "--out", str(out)])
     assert code == 2
-    summary = json.load(open(out / "summary.json"))
+    summary = json.loads((out / "summary.json").read_text())
     assert summary["samples"] == ["good"]
     assert [f["sample_id"] for f in summary["failures"]] == ["cut", "damaged"]
-    good = json.load(open(out / "samples" / "good.json"))
+    good = json.loads((out / "samples" / "good.json").read_text())
     assert good["detection"]["fp"] == good["detection"]["fn"] == 0
     err = capsys.readouterr().err
     assert "FAILED cut: TruncatedFile" in err

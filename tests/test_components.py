@@ -9,7 +9,7 @@ from lesioneval.volume import Volume
 
 
 def test_empty_mask():
-    v = Volume(np.zeros((4, 4, 4), dtype=np.uint8), (1, 1, 1), binary=True)
+    v = Volume(np.zeros((4, 4, 4), dtype=np.uint8), (1, 1, 1))
     ls = find_connected_components(v)
     assert len(ls) == 0
     assert ls.lesions == []
@@ -134,7 +134,7 @@ def test_corner_diagonal_needs_26():
 def test_centered_cube():
     arr = np.zeros((5, 5, 5), dtype=np.uint8)
     arr[1:4, 1:4, 1:4] = 1
-    ls = find_connected_components(Volume(arr, (1, 1, 1), binary=True))
+    ls = find_connected_components(Volume(arr, (1, 1, 1)))
     assert len(ls) == 1
     l = ls.lesions[0]
     assert l.volume_vox == 27
@@ -151,7 +151,7 @@ def test_label_ordering_is_zyx_lexicographic():
 def test_volume_mm3_uses_spacing():
     arr = np.zeros((4, 4, 4), dtype=np.uint8)
     arr[0:2, 0:2, 0:2] = 1
-    ls = find_connected_components(Volume(arr, (0.5, 0.5, 2.0), binary=True))
+    ls = find_connected_components(Volume(arr, (0.5, 0.5, 2.0)))
     assert ls.lesions[0].volume_mm3 == pytest.approx(8 * 0.5 * 0.5 * 2.0)
 
 

@@ -234,10 +234,10 @@ def test_image_metrics_divergence_case():
     for i in range(5):
         x = 15 + 5 * i
         arr[x : x + 1, 0:5, 0:2] = 1  # 10 voxels each
-    gt = Volume(arr, (1, 1, 1), binary=True)
+    gt = Volume(arr, (1, 1, 1))
     pred_arr = np.zeros_like(arr)
     pred_arr[0:10, 0:10, 0:10] = 1
-    pred = Volume(pred_arr, (1, 1, 1), binary=True)
+    pred = Volume(pred_arr, (1, 1, 1))
 
     im = _image_metrics(gt, pred)
     assert im.voxel_dice == pytest.approx(2000 / 2050)
@@ -249,10 +249,10 @@ def test_image_metrics_divergence_case():
 
 
 def test_image_metrics_degenerate():
-    empty = Volume(np.zeros((4, 4, 4), dtype=np.uint8), (1, 1, 1), binary=True)
+    empty = Volume(np.zeros((4, 4, 4), dtype=np.uint8), (1, 1, 1))
     im = _image_metrics(empty, empty)
     assert im.voxel_dice is None and im.voxel_hd95_mm is None and im.assd_mm is None
-    one = Volume(np.eye(4, dtype=np.uint8)[:, :, None] * 0, (1, 1, 1), binary=True)
+    one = Volume(np.eye(4, dtype=np.uint8)[:, :, None] * 0, (1, 1, 1))
     one.data[0, 0, 0] = 1
     im2 = _image_metrics(one, empty)
     assert im2.voxel_dice == 0.0 and im2.voxel_hd95_mm is None

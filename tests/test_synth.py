@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -151,7 +153,7 @@ def test_export_case_roundtrip(tmp_path):
     assert read_volume(paths["pred"]) == c.pred
     import json
 
-    side = json.load(open(paths["truth"]))
+    side = json.loads(Path(paths["truth"]).read_text())
     assert [tuple(p) for p in side["truth_pairs"]] == c.truth_pairs
 
 

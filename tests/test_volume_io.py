@@ -18,7 +18,7 @@ from lesioneval.volume import Volume, binarize, check_compatibility
 
 
 def test_roundtrip_zero_volume(tmp_path):
-    v = Volume(np.zeros((4, 4, 4), dtype=np.uint8), (1.0, 1.0, 1.0), binary=True)
+    v = Volume(np.zeros((4, 4, 4), dtype=np.uint8), (1.0, 1.0, 1.0))
     p = tmp_path / "zero.nii"
     write_volume(v, str(p))
     w = read_volume(str(p))
@@ -280,9 +280,17 @@ def test_corrupt_gzip_rejected(tmp_path, how, error):
             read(str(p))
 
 
+def test_bool_data_written_as_uint8(tmp_path):
+    v = Volume(np.eye(3, dtype=bool)[:, :, None].repeat(2, axis=2), (1, 1, 1))
+    p = tmp_path / "m.nii"
+    write_volume(v, str(p))
+    w = read_volume(str(p))
+    assert w.data.dtype == np.uint8 and w == v
+
+
 def test_byte_count_2x2x2_binary(tmp_path):
     # 348-byte header + 4-byte extension flag + 8 u8 voxels
-    v = Volume(np.ones((2, 2, 2), dtype=np.uint8), (1, 1, 1), binary=True)
+    v = Volume(np.ones((2, 2, 2), dtype=np.uint8), (1, 1, 1))
     p = tmp_path / "m.nii"
     write_volume(v, str(p))
     assert p.stat().st_size == 352 + 8
@@ -336,7 +344,7 @@ def test_binarize_definition_and_idempotence():
     data = np.array([[[0.2, 0.7]]], dtype=np.float32)
     v = Volume(data, (1, 1, 1))
     b = binarize(v, 0.5)
-    assert b.binary
+    assert b.data.dtype == np.uint8
     assert b.data.tolist() == [[[0, 1]]]
     assert binarize(b, 0.5) == b
 
