@@ -19,11 +19,13 @@ from .metrics import (  # noqa: E402,F401
     DetectionCounts,
     ImageMetrics,
     LesionPairMetrics,
+    SurfaceDistances,
     assd,
     compute_image_metrics,
     compute_instance_metrics,
     compute_lesion_metrics,
     hd95,
+    surface_distances,
     surface_voxels,
 )
 from .nifti import read_foreground, read_volume, write_volume  # noqa: E402,F401

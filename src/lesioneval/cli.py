@@ -171,6 +171,11 @@ def _cmd_tune_tau(args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
+    try:
+        RunConfig(binarize_threshold=args.threshold)
+    except ValueError as e:
+        print(f"bad config: {e}", file=sys.stderr)
+        return EXIT_USAGE
     fg = read_foreground(args.volume, args.threshold)
     print(f"dims: {fg.dims[0]} x {fg.dims[1]} x {fg.dims[2]}")
     print(f"spacing (mm): {fg.spacing[0]:g} x {fg.spacing[1]:g} x {fg.spacing[2]:g}")

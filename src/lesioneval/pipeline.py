@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -12,6 +13,7 @@ from .metrics import (
     compute_image_metrics,
     compute_instance_metrics,
     compute_lesion_metrics,
+    surface_distances,
 )
 from .nifti import read_foreground
 from .stratify import SampleResult, stratify
@@ -36,6 +38,10 @@ class RunConfig:
             raise ValueError(f"distance_units must be mm or voxels")
         if self.hd95_variant not in ("pooled", "max-of-directed"):
             raise ValueError(f"unknown hd95 variant {self.hd95_variant!r}")
+        if not math.isfinite(self.binarize_threshold):
+            raise ValueError(
+                f"binarize_threshold must be finite, got {self.binarize_threshold}"
+            )
         if self.parallelism < 1:
             raise ValueError("parallelism must be >= 1")
 
@@ -107,12 +113,13 @@ def _evaluate(
     gt_ls = find_connected_components(gt, config.connectivity)
     pred_ls = find_connected_components(pred, config.connectivity)
     match = match_lesions(gt_ls, pred_ls, config.tau, with_trace=with_trace)
+    dists = surface_distances(gt_ls, pred_ls, spacing)
     pairs = [
-        compute_lesion_metrics(gt_ls, pred_ls, g, p, spacing, config.hd95_variant)
+        compute_lesion_metrics(gt_ls, pred_ls, g, p, dists, config.hd95_variant)
         for g, p, _ in sorted(match.matches, key=lambda m: m[0])
     ]
     detection = compute_instance_metrics(gt_ls, pred_ls, match)
-    image = compute_image_metrics(gt_ls, pred_ls, config.hd95_variant, spacing)
+    image = compute_image_metrics(gt_ls, pred_ls, config.hd95_variant, dists)
     per_bin, records = stratify(gt_ls, pred_ls, match, pairs)
     return SampleResult(
         sample_id=sample_id,

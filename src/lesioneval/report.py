@@ -64,7 +64,8 @@ def emit_reports(
     undefined metrics serialized as null (JSON) / empty cell (CSV).
     ``formats`` restricts emission to "json", "csv" or "both".
     Returns the paths written, keyed by artifact name. Raises ValueError,
-    before writing anything, if a sample_id is not a plain file name.
+    before writing anything, if a sample_id is not a plain file name or
+    names two samples.
     """
     if formats not in ("json", "csv", "both"):
         raise ValueError(f"formats must be json/csv/both, got {formats!r}")
@@ -72,8 +73,12 @@ def emit_reports(
     want_csv = formats in ("csv", "both")
     failures = failures or []
     samples = sorted(samples, key=lambda s: s.sample_id)
+    seen: set[str] = set()
     for s in samples:
         check_sample_id(s.sample_id)
+        if s.sample_id in seen:
+            raise ValueError(f"duplicate sample_id {s.sample_id!r}")
+        seen.add(s.sample_id)
     try:
         os.makedirs(out_dir, exist_ok=True)
         if want_json:

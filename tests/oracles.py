@@ -137,12 +137,16 @@ def brute_surface(voxels: set[tuple[int, int, int]]) -> list[tuple[int, int, int
 def _all_nearest(
     a: list[tuple], b: list[tuple], spacing: tuple[float, float, float]
 ) -> list[float]:
+    # points are scaled to mm before they are subtracted, as a kd-tree over
+    # mm points does, so the two give the same floats
     sx, sy, sz = spacing
+    b_mm = [(x * sx, y * sy, z * sz) for x, y, z in b]
     out = []
     for ax, ay, az in a:
+        ax, ay, az = ax * sx, ay * sy, az * sz
         best = math.inf
-        for bx, by, bz in b:
-            d = ((ax - bx) * sx) ** 2 + ((ay - by) * sy) ** 2 + ((az - bz) * sz) ** 2
+        for bx, by, bz in b_mm:
+            d = (ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2
             if d < best:
                 best = d
         out.append(math.sqrt(best))
@@ -157,7 +161,11 @@ def _percentile_linear(values: list[float], p: float) -> float:
     if lo == hi:
         return vals[lo]
     frac = rank - lo
-    return vals[lo] * (1 - frac) + vals[hi] * frac
+    # numpy's rounding of the linear interpolation, so results compare with ==
+    lo_v, hi_v = vals[lo], vals[hi]
+    if frac < 0.5:
+        return lo_v + (hi_v - lo_v) * frac
+    return hi_v - (hi_v - lo_v) * (1 - frac)
 
 
 def brute_surface_distances(

@@ -15,7 +15,13 @@ from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask
 from lesioneval.cli import main
 from lesioneval.components import find_connected_components
 from lesioneval.matching import generate_candidates, match_lesions
-from lesioneval.metrics import assd, compute_image_metrics, compute_lesion_metrics, hd95
+from lesioneval.metrics import (
+    assd,
+    compute_image_metrics,
+    compute_lesion_metrics,
+    hd95,
+    surface_distances,
+)
 from lesioneval.nifti import read_volume, write_volume
 from lesioneval.pipeline import RunConfig, evaluate_pair
 from lesioneval.report import emit_reports
@@ -93,8 +99,9 @@ def test_criterion_04_dice_iou_identity():
         pred = find_connected_components(random_blob_mask(rng, (16, 16, 16), 0.25))
         gsets = lesion_voxel_sets(gt)
         psets = lesion_voxel_sets(pred)
+        dists = surface_distances(gt, pred, (1, 1, 1))
         for g, p, _ in match_lesions(gt, pred, 0.1).matches:
-            m = compute_lesion_metrics(gt, pred, g, p, (1, 1, 1))
+            m = compute_lesion_metrics(gt, pred, g, p, dists)
             assert abs(m.dice - 2 * m.iou / (1 + m.iou)) < 1e-12
             a, b = gsets[g - 1], psets[p - 1]
             assert m.iou == len(a & b) / len(a | b)
@@ -139,7 +146,8 @@ def test_criterion_07_aggregate_vs_lesionwise_divergence():
     pred = Volume(pred_arr, (1, 1, 1))
 
     gt_ls, pred_ls = find_connected_components(gt), find_connected_components(pred)
-    im = compute_image_metrics(gt_ls, pred_ls, "pooled", (1, 1, 1))
+    dists = surface_distances(gt_ls, pred_ls, (1, 1, 1))
+    im = compute_image_metrics(gt_ls, pred_ls, "pooled", dists)
     assert 0.975 <= im.voxel_dice <= 0.976
     assert im.voxel_dice == 2000 / 2050
     s = evaluate_pair("div", gt, pred, RunConfig())

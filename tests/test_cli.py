@@ -389,3 +389,21 @@ def test_nan_prediction_fails_one_sample(tmp_path, capsys):
     assert summary["samples"] == ["good"]
     assert [f["sample_id"] for f in summary["failures"]] == ["nan"]
     assert "FAILED nan: NanVoxels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["nan", "inf", "-inf"])
+def test_non_finite_threshold_rejected(tmp_path, capsys, threshold):
+    # x > nan is always False, so --threshold nan used to exit 0 with empty
+    # masks and write NaN (not valid JSON) into summary.json
+    rng = np.random.default_rng(13)
+    g, p = _make_pair(tmp_path, "a", rng)
+    out = tmp_path / "out"
+    code = main(["evaluate", "--gt", str(tmp_path / g), "--pred", str(tmp_path / p),
+                 f"--threshold={threshold}", "--out", str(out)])
+    assert code == 1
+    assert "bad config" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["inspect", str(tmp_path / g), f"--threshold={threshold}"]) == 1
+    assert "bad config" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="finite"):
+        RunConfig(binarize_threshold=float(threshold))

@@ -3,7 +3,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from conftest import mask_from_voxels, random_blob_mask
+from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask
 from lesioneval.components import find_connected_components
 from lesioneval.errors import EmptySet
 from lesioneval.matching import match_lesions
@@ -13,8 +13,10 @@ from lesioneval.metrics import (
     compute_instance_metrics,
     compute_lesion_metrics,
     hd95,
+    surface_distances,
     surface_voxels,
 )
+from lesioneval.pipeline import RunConfig, evaluate_pair
 from lesioneval.volume import Volume
 from oracles import brute_surface, brute_surface_distances, whole_grid_image_metrics
 
@@ -40,12 +42,16 @@ def _blob_voxels(rng, dims, density):
 
 def _image_metrics(a, b, connectivity=6, variant="pooled", spacing=(1, 1, 1)):
     """Image metrics of two masks (Volumes) via their lesion sets."""
-    return compute_image_metrics(
-        find_connected_components(a, connectivity),
-        find_connected_components(b, connectivity),
-        variant,
-        spacing,
-    )
+    la = find_connected_components(a, connectivity)
+    lb = find_connected_components(b, connectivity)
+    dists = surface_distances(la, lb, spacing)
+    return compute_image_metrics(la, lb, variant, dists)
+
+
+def _pair_metrics(gt, pred, g, p, spacing=(1, 1, 1), variant="pooled"):
+    """compute_lesion_metrics of one pair, with the two masks' distances."""
+    dists = surface_distances(gt, pred, spacing)
+    return compute_lesion_metrics(gt, pred, g, p, dists, variant)
 
 
 def _image_dice(a, b, dims=(8, 8, 8)):
@@ -59,8 +65,8 @@ def test_dice_basics():
     assert _image_dice(set(), set()) is None
     assert _image_dice(SQUARE, set()) == 0.0
     sq, shifted = _lesions(SQUARE), _lesions(SQUARE_SHIFTED)
-    assert compute_lesion_metrics(sq, sq, 1, 1, (1, 1, 1)).dice == 1.0
-    assert compute_lesion_metrics(sq, shifted, 1, 1, (1, 1, 1)).dice == 0.5
+    assert _pair_metrics(sq, sq, 1, 1).dice == 1.0
+    assert _pair_metrics(sq, shifted, 1, 1).dice == 0.5
 
 
 def test_dice_symmetry(rng):
@@ -71,8 +77,8 @@ def test_dice_symmetry(rng):
         assert ab.voxel_dice == ba.voxel_dice
         la, lb = find_connected_components(a), find_connected_components(b)
         for g, p, _ in match_lesions(la, lb, 0.0).matches:
-            ab = compute_lesion_metrics(la, lb, g, p, (1, 1, 1))
-            ba = compute_lesion_metrics(lb, la, p, g, (1, 1, 1))
+            ab = _pair_metrics(la, lb, g, p)
+            ba = _pair_metrics(lb, la, p, g)
             assert (ab.dice, ab.iou, ab.hd95_mm) == (ba.dice, ba.iou, ba.hd95_mm)
 
 
@@ -169,14 +175,14 @@ def test_spacing_scaling(rng):
 
 def test_lesion_pair_identical():
     g = _lesions(SQUARE)
-    m = compute_lesion_metrics(g, g, 1, 1, (1, 1, 1))
+    m = _pair_metrics(g, g, 1, 1)
     assert m.dice == 1.0 and m.hd95_mm == 0.0
     assert m.volume_error_rel == 0.0 and m.size_ratio == 1.0
 
 
 def test_lesion_pair_shifted_square():
     g, p = _lesions(SQUARE), _lesions(SQUARE_SHIFTED)
-    m = compute_lesion_metrics(g, p, 1, 1, (1, 1, 1))
+    m = _pair_metrics(g, p, 1, 1)
     assert m.dice == 0.5
     assert m.iou == pytest.approx(1 / 3)
     assert m.size_ratio == 1.0 and m.volume_error_rel == 0.0
@@ -185,7 +191,7 @@ def test_lesion_pair_shifted_square():
 def test_lesion_pair_nested_cubes():
     inner = [(x, y, z) for x in range(1, 4) for y in range(1, 4) for z in range(1, 4)]
     outer = [(x, y, z) for x in range(5) for y in range(5) for z in range(5)]
-    m = compute_lesion_metrics(_lesions(inner), _lesions(outer), 1, 1, (1, 1, 1))
+    m = _pair_metrics(_lesions(inner), _lesions(outer), 1, 1)
     assert m.size_ratio == pytest.approx(125 / 27)
     assert m.dice == pytest.approx(2 * 27 / 152)
 
@@ -196,7 +202,7 @@ def test_dice_iou_identity(rng):
         pred = find_connected_components(random_blob_mask(rng, (14, 14, 14), 0.25))
         mset = match_lesions(gt, pred, 0.1)
         for g, p, _ in mset.matches:
-            m = compute_lesion_metrics(gt, pred, g, p, (1, 1, 1))
+            m = _pair_metrics(gt, pred, g, p)
             assert abs(m.dice - 2 * m.iou / (1 + m.iou)) < 1e-12
 
 
@@ -305,3 +311,117 @@ def test_evaluate_pair_builds_no_label_map(rng, monkeypatch):
     got = evaluate_pair("s", gt, pred, RunConfig(tau=0.1))
     assert got == expected
     assert got.pairs
+
+
+@pytest.fixture
+def kd_trees(monkeypatch):
+    """Counts the kd-trees ``lesioneval.metrics`` builds."""
+    import lesioneval.metrics
+
+    built = []
+
+    class Counting(lesioneval.metrics.cKDTree):
+        def __init__(self, *args, **kwargs):
+            built.append(len(args[0]))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(lesioneval.metrics, "cKDTree", Counting)
+    return built
+
+
+def _boxes(dims, *boxes):
+    arr = np.zeros(dims, np.uint8)
+    for box in boxes:
+        arr[box] = 1
+    return arr
+
+
+def _pair_hd95_is_brute(gt, pred, connectivity, rng):
+    """Every pair HD95 of ``evaluate_pair`` == the oracle on that pair alone.
+
+    Runs both variants at one random anisotropic spacing; returns the pair count.
+    """
+    spacing = tuple(rng.uniform(0.4, 3.0, 3))
+    gt, pred = Volume(gt, spacing), Volume(pred, spacing)
+    gs = lesion_voxel_sets(find_connected_components(gt, connectivity))
+    ps = lesion_voxel_sets(find_connected_components(pred, connectivity))
+    n = 0
+    for variant in ("pooled", "max-of-directed"):
+        config = RunConfig(tau=0.0, connectivity=connectivity, hd95_variant=variant)
+        for m in evaluate_pair("s", gt, pred, config).pairs:
+            pooled, maxdir, _ = brute_surface_distances(
+                set(gs[m.gt_id - 1]), set(ps[m.pred_id - 1]), spacing
+            )
+            assert m.hd95_mm == (pooled if variant == "pooled" else maxdir)
+            n += 1
+    return n
+
+
+def test_pair_hd95_exact_when_prediction_merges(rng, kd_trees):
+    # one predicted box covers two GT cubes: the pair takes the larger cube,
+    # and the predicted voxels over the other cube are nearest to that one
+    s = np.s_
+    gt = _boxes((12, 8, 8), s[1:5, 1:5, 1:5], s[6:9, 1:5, 1:5])
+    pred = _boxes((12, 8, 8), s[1:9, 1:5, 1:5])
+    assert _pair_hd95_is_brute(gt, pred, 6, rng) == 2
+    assert len(kd_trees) > 2  # the partner-only query ran
+
+
+def test_pair_hd95_exact_when_third_lesion_is_closer(rng, kd_trees):
+    # predicted lesion q touches the GT cube's left face; its partner p
+    # overlaps the right part, so the left face is nearest to q
+    s = np.s_
+    gt = _boxes((12, 9, 9), s[3:8, 2:7, 2:7])
+    pred = _boxes((12, 9, 9), s[5:10, 2:7, 2:7], s[0:3, 3:6, 3:6])
+    assert _pair_hd95_is_brute(gt, pred, 6, rng) == 2
+    assert len(kd_trees) > 2
+
+
+@pytest.mark.parametrize(
+    "connectivity, touching",
+    [(18, np.s_[4:8, 4:8, 1:4]), (26, np.s_[4:8, 4:8, 4:8])],
+    ids=["edge-18", "corner-26"],
+)
+def test_pair_hd95_exact_for_diagonal_neighbours(
+    rng, kd_trees, connectivity, touching
+):
+    # GT: a cube and a box that touch only along an edge or at a corner, one
+    # lesion at this connectivity; the prediction splits them apart, so part
+    # of the GT lesion is nearest to the predicted lesion it is not paired with
+    s = np.s_
+    gt = _boxes((10, 10, 10), s[1:4, 1:4, 1:4], touching)
+    moved = tuple(slice(sl.start + (i == 0), sl.stop) for i, sl in enumerate(touching))
+    pred = _boxes((10, 10, 10), s[1:4, 1:4, 1:4], moved)
+    assert len(find_connected_components(Volume(gt, (1, 1, 1)), connectivity)) == 1
+    before = len(kd_trees)
+    assert _pair_hd95_is_brute(gt, pred, connectivity, rng) == 2
+    assert len(kd_trees) - before > 2
+    assert _pair_hd95_is_brute(gt, pred, 6, rng) > 0
+
+
+def test_pair_hd95_exact_on_random_blobs(rng):
+    n = 0
+    for trial in range(12):
+        dims = (14, 12, 10)
+        gt, pred = (
+            random_blob_mask(rng, dims, rng.uniform(0.1, 0.35)).data for _ in range(2)
+        )
+        n += _pair_hd95_is_brute(gt, pred, (6, 18, 26)[trial % 3], rng)
+    assert n > 30
+
+
+@pytest.mark.parametrize("per_axis", [2, 5])
+def test_evaluate_pair_builds_two_trees(kd_trees, per_axis):
+    # separated cubes, the prediction one voxel off: every surface voxel's
+    # nearest voxel lies in its partner, so no pair needs its own tree
+    n = 6 * per_axis + 2
+    gt, pred = np.zeros((n, n, 8), np.uint8), np.zeros((n, n, 8), np.uint8)
+    for x in range(per_axis):
+        for y in range(per_axis):
+            gt[6 * x + 1 : 6 * x + 4, 6 * y + 1 : 6 * y + 4, 2:5] = 1
+            pred[6 * x + 2 : 6 * x + 5, 6 * y + 1 : 6 * y + 4, 2:5] = 1
+    got = evaluate_pair(
+        "s", Volume(gt, (1, 1, 1)), Volume(pred, (1, 1, 1)), RunConfig(tau=0.1)
+    )
+    assert len(got.pairs) == per_axis**2
+    assert len(kd_trees) == 2

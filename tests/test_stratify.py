@@ -176,6 +176,16 @@ def test_emit_reports_rejects_escaping_sample_id(tmp_path, rng):
     assert list(tmp_path.iterdir()) == []  # not even out/ was made
 
 
+def test_emit_reports_rejects_duplicate_sample_id(tmp_path, rng):
+    # two results named "x" used to write one samples/x.json, list "x" twice
+    # in summary.json and pool both in per_model
+    v = random_blob_mask(rng, (10, 10, 10), 0.2)
+    s = evaluate_pair("x", v, v, RunConfig())
+    with pytest.raises(ValueError, match="duplicate sample_id 'x'"):
+        emit_reports([s, s], RunConfig(), str(tmp_path / "out"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_empty_cells_for_zero_match_bin(tmp_path):
     # a bin with FPs but no matched pairs: HD95 and F1 must be blank / null
     gt = Volume(np.zeros((20, 20, 20), dtype=np.uint8), (1, 1, 1))
