@@ -63,17 +63,51 @@ def _nearest(
     return tree.query(query_mm, k=1)
 
 
-def _hd95(d_ab: np.ndarray, d_ba: np.ndarray, variant: str) -> float:
-    """HD95 from the two directed distance arrays.
+def _p95(key: np.ndarray, dist: np.ndarray, n: int) -> np.ndarray:
+    """The 95th percentile of each group ``dist[key == k]``, for k = 0..n-1.
 
-    The 95th percentile (linear interpolation) of the pooled distances, or
-    the larger of the two directed ones; neither depends on their order.
+    numpy's default ("linear") percentile, bit for bit: all groups are
+    sorted at once, and each value is interpolated at the virtual index
+    ``(size - 1) * 0.95`` between its two order statistics the way numpy's
+    two-sided lerp does it. Every group must be non-empty.
+    """
+    s = dist[np.lexsort((dist, key))]
+    size = np.bincount(key, minlength=n)
+    first = np.cumsum(size) - size
+    at = (size - 1) * 0.95
+    lo = np.floor(at)
+    g = at - lo
+    i = first + lo.astype(np.intp)
+    a, b = s[i], s[np.minimum(i + 1, first + size - 1)]
+    d = b - a
+    return np.where(g >= 0.5, b - d * (1 - g), a + d * g)
+
+
+def _hd95(
+    k_ab: np.ndarray,
+    d_ab: np.ndarray,
+    k_ba: np.ndarray,
+    d_ba: np.ndarray,
+    n: int,
+    variant: str,
+) -> np.ndarray:
+    """HD95 of each of ``n`` groups from the two directed distance arrays.
+
+    ``k_ab`` and ``k_ba`` give each distance's group. The 95th percentile
+    (linear interpolation) of a group's pooled distances, or the larger of
+    its two directed ones; neither depends on their order.
     """
     if variant == "pooled":
-        return float(np.percentile(np.concatenate([d_ab, d_ba]), 95))
+        return _p95(np.concatenate([k_ab, k_ba]), np.concatenate([d_ab, d_ba]), n)
     if variant == "max-of-directed":
-        return float(max(np.percentile(d_ab, 95), np.percentile(d_ba, 95)))
+        return np.maximum(_p95(k_ab, d_ab, n), _p95(k_ba, d_ba, n))
     raise ValueError(f"unknown hd95 variant {variant!r}")
+
+
+def _hd95_one(d_ab: np.ndarray, d_ba: np.ndarray, variant: str) -> float:
+    """``_hd95`` of a single group."""
+    k_ab, k_ba = np.zeros(d_ab.size, np.intp), np.zeros(d_ba.size, np.intp)
+    return float(_hd95(k_ab, d_ab, k_ba, d_ba, 1, variant)[0])
 
 
 def surface_voxels(voxels: np.ndarray) -> np.ndarray:
@@ -103,7 +137,7 @@ def hd95(
     a: np.ndarray, b: np.ndarray, spacing: tuple, variant: str = "pooled"
 ) -> float:
     """95th percentile (linear interpolation) of symmetric surface distances."""
-    return _hd95(*_directed(a, b, spacing), variant)
+    return _hd95_one(*_directed(a, b, spacing), variant)
 
 
 def assd(a: np.ndarray, b: np.ndarray, spacing: tuple) -> float:
@@ -180,65 +214,89 @@ def surface_distances(
     )
 
 
-def _to_partner(
+def _partner_distances(
     src: LesionSet,
     ns: NearestSurface,
-    src_id: int,
+    src_pair: np.ndarray,
     dst: LesionSet,
-    dst_id: int,
+    dst_ids: np.ndarray,
     sp: np.ndarray,
-) -> np.ndarray:
-    """Distance from each surface voxel of lesion ``src_id`` to ``dst_id``'s surface.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each matched ``src`` surface voxel's pair and its distance to the partner.
 
-    A voxel whose nearest surface voxel lies in ``dst_id`` already holds it:
-    face neighbours share a lesion, so the lesion's surface is part of the
+    ``src_pair`` maps a ``src`` lesion id to its pair (-1 when unmatched)
+    and ``dst_ids`` a pair to its ``dst`` lesion. A voxel whose nearest
+    surface voxel lies in its partner already holds the distance: face
+    neighbours share a lesion, so the lesion's surface is part of the
     mask's. The others, whose nearest voxel lies in another lesion, are
-    queried again against the partner's own surface.
+    queried again against the partner's own surface, one query per lesion.
     """
-    run = src.run(src_id)
-    s = run[src.surface[run]]
-    k = np.searchsorted(ns.pos, s)
-    dist = ns.dist[k]
-    miss = ns.near[k] != dst_id
-    if miss.any():
-        t = dst.run(dst_id)
+    key = src_pair[src.label[ns.pos]]
+    kept = key >= 0
+    key, pos, dist = key[kept], ns.pos[kept], ns.dist[kept]
+    miss = np.flatnonzero(ns.near[kept] != dst_ids[key])
+    miss = miss[np.argsort(key[miss], kind="stable")]
+    pairs, first = np.unique(key[miss], return_index=True)
+    for k, rows in zip(pairs.tolist(), np.split(miss, first[1:])):
+        t = dst.run(dst_ids[k])
         t = t[dst.surface[t]]
-        dist[miss] = _nearest(dst.coords(t) * sp, src.coords(s[miss]) * sp)[0]
-    return dist
+        dist[rows] = _nearest(dst.coords(t) * sp, src.coords(pos[rows]) * sp)[0]
+    return key, dist
 
 
 def compute_lesion_metrics(
     gt: LesionSet,
     pred: LesionSet,
-    gt_id: int,
-    pred_id: int,
+    matches: list[tuple[int, int, float]],
     distances: SurfaceDistances,
     hd95_variant: str = "pooled",
-) -> LesionPairMetrics:
-    """All per-pair metrics for a matched GT/prediction lesion pair.
+) -> list[LesionPairMetrics]:
+    """All per-pair metrics of a sample's matched GT/prediction lesion pairs.
 
-    Both lesions are read from their runs of voxels, and their surface
-    distances from ``distances`` (see ``surface_distances``).
+    Returns one ``LesionPairMetrics`` per ``(gt_id, pred_id, iou)`` of
+    ``matches``, in ``gt_id`` order. Every overlap comes from one
+    intersection of the two foregrounds, the surface distances from
+    ``distances`` (see ``surface_distances``), and every HD95 from one
+    grouped percentile.
     """
-    g, p = gt.by_id(gt_id), pred.by_id(pred_id)
-    ga, pa = gt.run(gt_id), pred.run(pred_id)
-    inter = np.intersect1d(gt.index[ga], pred.index[pa], assume_unique=True).size
-    sp = distances.spacing
-    return LesionPairMetrics(
-        gt_id=gt_id,
-        pred_id=pred_id,
-        dice=_dice_counts(inter, g.volume_vox, p.volume_vox),
-        iou=iou_counts(inter, g.volume_vox, p.volume_vox),
-        hd95_mm=_hd95(
-            _to_partner(gt, distances.gt, gt_id, pred, pred_id, sp),
-            _to_partner(pred, distances.pred, pred_id, gt, gt_id, sp),
-            hd95_variant,
-        ),
-        gt_vox=g.volume_vox,
-        pred_vox=p.volume_vox,
-        volume_error_rel=(p.volume_vox - g.volume_vox) / g.volume_vox,
-        size_ratio=p.volume_vox / g.volume_vox,
+    ids = sorted((g, p) for g, p, _ in matches)
+    g_ids, p_ids = np.array(ids, np.intp).reshape(-1, 2).T
+    n = len(ids)
+    g_pair = np.full(len(gt) + 1, -1, np.intp)
+    g_pair[g_ids] = np.arange(n)
+    p_pair = np.full(len(pred) + 1, -1, np.intp)
+    p_pair[p_ids] = np.arange(n)
+
+    _, gi, pi = np.intersect1d(
+        gt.index, pred.index, assume_unique=True, return_indices=True
     )
+    k = g_pair[gt.label[gi]]
+    inter = np.bincount(k[(k >= 0) & (p_pair[pred.label[pi]] == k)], minlength=n)
+
+    sp = distances.spacing
+    hd = _hd95(
+        *_partner_distances(gt, distances.gt, g_pair, pred, p_ids, sp),
+        *_partner_distances(pred, distances.pred, p_pair, gt, g_ids, sp),
+        n,
+        hd95_variant,
+    )
+    out = []
+    for (g, p), i, h in zip(ids, inter.tolist(), hd.tolist()):
+        gv, pv = gt.by_id(g).volume_vox, pred.by_id(p).volume_vox
+        out.append(
+            LesionPairMetrics(
+                gt_id=g,
+                pred_id=p,
+                dice=_dice_counts(i, gv, pv),
+                iou=iou_counts(i, gv, pv),
+                hd95_mm=h,
+                gt_vox=gv,
+                pred_vox=pv,
+                volume_error_rel=(pv - gv) / gv,
+                size_ratio=pv / gv,
+            )
+        )
+    return out
 
 
 def detection_rates(
@@ -288,6 +346,6 @@ def compute_image_metrics(
     if n_g > 0 and n_p > 0:
         d_gp = _c_ordered(gt, distances.gt)
         d_pg = _c_ordered(pred, distances.pred)
-        voxel_hd95 = _hd95(d_gp, d_pg, hd95_variant)
+        voxel_hd95 = _hd95_one(d_gp, d_pg, hd95_variant)
         assd_mm = float(np.concatenate([d_gp, d_pg]).mean())
     return ImageMetrics(voxel_dice, voxel_hd95, assd_mm, n_g, n_p)

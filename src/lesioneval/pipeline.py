@@ -77,10 +77,11 @@ class SampleFailure:
 def check_sample_id(sample_id: str) -> None:
     """Raise ValueError unless ``sample_id`` is a plain file name.
 
-    Sample ids name report files, so they must not leave ``samples/``:
-    no ``/`` or ``\\``, and not ``.`` or ``..``.
+    Sample ids name report files, so they must name one file in
+    ``samples/``: not empty, not ``.`` or ``..``, and no ``/``, ``\\`` or
+    NUL, which no file name can hold.
     """
-    if sample_id in (".", "..") or "/" in sample_id or "\\" in sample_id:
+    if sample_id in ("", ".", "..") or any(c in sample_id for c in "/\\\0"):
         raise ValueError(f"sample_id {sample_id!r} is not a plain file name")
 
 
@@ -114,10 +115,9 @@ def _evaluate(
     pred_ls = find_connected_components(pred, config.connectivity)
     match = match_lesions(gt_ls, pred_ls, config.tau, with_trace=with_trace)
     dists = surface_distances(gt_ls, pred_ls, spacing)
-    pairs = [
-        compute_lesion_metrics(gt_ls, pred_ls, g, p, dists, config.hd95_variant)
-        for g, p, _ in sorted(match.matches, key=lambda m: m[0])
-    ]
+    pairs = compute_lesion_metrics(
+        gt_ls, pred_ls, match.matches, dists, config.hd95_variant
+    )
     detection = compute_instance_metrics(gt_ls, pred_ls, match)
     image = compute_image_metrics(gt_ls, pred_ls, config.hd95_variant, dists)
     per_bin, records = stratify(gt_ls, pred_ls, match, pairs)
@@ -167,8 +167,6 @@ def read_manifest(path: str) -> list[ManifestRow]:
                         f"{len(reader.fieldnames)} cells"
                     )
                 sid = rec["sample_id"].strip()
-                if not sid:
-                    raise ManifestParseError(f"{path}: empty sample_id")
                 try:
                     check_sample_id(sid)
                 except ValueError as e:
@@ -184,6 +182,6 @@ def read_manifest(path: str) -> list[ManifestRow]:
                         model_tag=(rec.get("model_tag") or "model").strip() or "model",
                     )
                 )
-    except OSError as e:
+    except (OSError, UnicodeDecodeError, csv.Error) as e:
         raise ManifestParseError(f"cannot read manifest {path}: {e}") from e
     return rows

@@ -5,7 +5,6 @@ import csv
 import io
 import json
 import os
-from dataclasses import asdict
 
 from . import __version__
 from .errors import IoFailure
@@ -13,6 +12,11 @@ from .pipeline import RunConfig, SampleFailure, check_sample_id
 from .stratify import BIN_NAMES, SampleResult, rollup
 
 SCHEMA_VERSION = 1
+
+
+def _row(x) -> dict:
+    """A report dataclass as a dict: its fields are flat, so no deep copy."""
+    return dict(vars(x))
 
 
 def _fmt2(x: float | None) -> str:
@@ -31,11 +35,11 @@ def _sample_payload(s: SampleResult, config: RunConfig) -> dict:
         "model_tag": s.model_tag,
         "gt_lesions": s.gt_lesions,
         "pred_lesions": s.pred_lesions,
-        "detection": asdict(s.detection),
-        "image_metrics": asdict(s.image),
-        "matched_pairs": [asdict(p) for p in s.pairs],
-        "per_bin": {name: asdict(s.per_bin[name]) for name in BIN_NAMES},
-        "lesion_records": [asdict(r) for r in s.records],
+        "detection": _row(s.detection),
+        "image_metrics": _row(s.image),
+        "matched_pairs": [_row(p) for p in s.pairs],
+        "per_bin": {name: _row(s.per_bin[name]) for name in BIN_NAMES},
+        "lesion_records": [_row(r) for r in s.records],
     }
 
 
@@ -101,13 +105,13 @@ def emit_reports(
         "samples": [s.sample_id for s in samples],
         "failures": [{"sample_id": f.sample_id, "reason": f.reason} for f in failures],
         "per_model": {
-            tag: {name: asdict(bins[name]) for name in BIN_NAMES}
+            tag: {name: _row(bins[name]) for name in BIN_NAMES}
             for tag, bins in rolled.items()
         },
         "per_sample": {
             s.sample_id: {
-                "detection": asdict(s.detection),
-                "image_metrics": asdict(s.image),
+                "detection": _row(s.detection),
+                "image_metrics": _row(s.image),
             }
             for s in samples
         },

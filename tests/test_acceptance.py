@@ -100,8 +100,9 @@ def test_criterion_04_dice_iou_identity():
         gsets = lesion_voxel_sets(gt)
         psets = lesion_voxel_sets(pred)
         dists = surface_distances(gt, pred, (1, 1, 1))
-        for g, p, _ in match_lesions(gt, pred, 0.1).matches:
-            m = compute_lesion_metrics(gt, pred, g, p, dists)
+        matches = match_lesions(gt, pred, 0.1).matches
+        for m in compute_lesion_metrics(gt, pred, matches, dists):
+            g, p = m.gt_id, m.pred_id
             assert abs(m.dice - 2 * m.iou / (1 + m.iou)) < 1e-12
             a, b = gsets[g - 1], psets[p - 1]
             assert m.iou == len(a & b) / len(a | b)

@@ -349,9 +349,11 @@ def test_corrupt_gzip_fails_one_sample(tmp_path, capsys):
         [".", "b_gt.nii.gz", "b_pred.nii.gz"],
         ["short", "b_gt.nii.gz"],
         ["extra", "b_gt.nii.gz", "b_pred.nii.gz", "netB"],
+        ["a\0b", "b_gt.nii.gz", "b_pred.nii.gz"],
+        [" ", "b_gt.nii.gz", "b_pred.nii.gz"],
     ],
     ids=["slash", "backslash", "parent-escape", "dotdot", "dot", "short-row",
-         "extra-cell"],
+         "extra-cell", "nul", "blank"],
 )
 def test_bad_manifest_row_rejected(tmp_path, capsys, bad_row):
     rng = np.random.default_rng(8)
@@ -366,6 +368,27 @@ def test_bad_manifest_row_rejected(tmp_path, capsys, bad_row):
     assert code == 1
     assert not (tmp_path / "run").exists()
     assert str(manifest) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b"\xff\xfesample_id,gt_path,pred_path\n",
+        b"sample_id,gt_path,pred_path\n" + b"a" * 131_073 + b",g.nii,g.nii\n",
+    ],
+    ids=["not-utf8", "oversized-cell"],
+)
+def test_unreadable_manifest_rejected(tmp_path, capsys, content):
+    # a manifest that is not UTF-8 used to escape as UnicodeDecodeError, a
+    # cell over the csv field limit as _csv.Error; both with a traceback
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(content)
+    with pytest.raises(ManifestParseError):
+        read_manifest(str(manifest))
+    out = tmp_path / "out"
+    assert main(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 1
+    assert str(manifest) in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_nan_prediction_fails_one_sample(tmp_path, capsys):

@@ -2,12 +2,15 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask
 from lesioneval.components import find_connected_components
 from lesioneval.errors import EmptySet
 from lesioneval.matching import match_lesions
 from lesioneval.metrics import (
+    _p95,
     assd,
     compute_image_metrics,
     compute_instance_metrics,
@@ -51,7 +54,8 @@ def _image_metrics(a, b, connectivity=6, variant="pooled", spacing=(1, 1, 1)):
 def _pair_metrics(gt, pred, g, p, spacing=(1, 1, 1), variant="pooled"):
     """compute_lesion_metrics of one pair, with the two masks' distances."""
     dists = surface_distances(gt, pred, spacing)
-    return compute_lesion_metrics(gt, pred, g, p, dists, variant)
+    (m,) = compute_lesion_metrics(gt, pred, [(g, p, 0.0)], dists, variant)
+    return m
 
 
 def _image_dice(a, b, dims=(8, 8, 8)):
@@ -425,3 +429,53 @@ def test_evaluate_pair_builds_two_trees(kd_trees, per_axis):
     )
     assert len(got.pairs) == per_axis**2
     assert len(kd_trees) == 2
+
+
+# distances with many ties: a few repeated values mixed with arbitrary ones
+_distances = st.one_of(
+    st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0]),
+    st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.lists(_distances, min_size=1, max_size=50), min_size=1, max_size=8),
+    st.randoms(use_true_random=False),
+)
+def test_p95_is_numpy_percentile_bit_for_bit(groups, random):
+    key = np.concatenate([np.full(len(g), k, np.intp) for k, g in enumerate(groups)])
+    dist = np.concatenate([np.asarray(g, float) for g in groups])
+    order = list(range(key.size))
+    random.shuffle(order)  # the groups interleave in any order
+    got = _p95(key[order], dist[order], len(groups))
+    want = np.array([np.percentile(g, 95) for g in groups])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_lesion_metrics_independent_of_batch(rng):
+    # one call for all pairs == the pairs in any order == each pair alone
+    n = 0
+    for trial in range(12):
+        dims = (14, 12, 10)
+        density = rng.uniform(0.1, 0.35)
+        connectivity = (6, 18, 26)[trial % 3]
+        gt, pred = (
+            find_connected_components(random_blob_mask(rng, dims, density), connectivity)
+            for _ in range(2)
+        )
+        dists = surface_distances(gt, pred, tuple(rng.uniform(0.4, 3.0, 3)))
+        matches = match_lesions(gt, pred, 0.0).matches
+        for variant in ("pooled", "max-of-directed"):
+            whole = compute_lesion_metrics(gt, pred, matches, dists, variant)
+            assert [m.gt_id for m in whole] == sorted(g for g, _, _ in matches)
+            shuffled = [matches[i] for i in rng.permutation(len(matches))]
+            assert compute_lesion_metrics(gt, pred, shuffled, dists, variant) == whole
+            alone = [
+                compute_lesion_metrics(gt, pred, [m], dists, variant)[0]
+                for m in sorted(matches)
+            ]
+            assert alone == whole
+            n += len(whole)
+    assert compute_lesion_metrics(gt, pred, [], dists) == []
+    assert n > 30

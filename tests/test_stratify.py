@@ -176,6 +176,17 @@ def test_emit_reports_rejects_escaping_sample_id(tmp_path, rng):
     assert list(tmp_path.iterdir()) == []  # not even out/ was made
 
 
+@pytest.mark.parametrize("sample_id", ["", "a\0b"], ids=["empty", "nul"])
+def test_emit_reports_rejects_unnameable_sample_id(tmp_path, rng, sample_id):
+    # "" used to write samples/.json; a NUL failed in open() once samples/
+    # existed, leaving a run with no summary.json
+    v = random_blob_mask(rng, (10, 10, 10), 0.2)
+    s = evaluate_pair(sample_id, v, v, RunConfig())
+    with pytest.raises(ValueError, match="plain file name"):
+        emit_reports([s], RunConfig(), str(tmp_path / "out"))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_emit_reports_rejects_duplicate_sample_id(tmp_path, rng):
     # two results named "x" used to write one samples/x.json, list "x" twice
     # in summary.json and pool both in per_model
