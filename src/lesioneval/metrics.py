@@ -1,6 +1,7 @@
 """Overlap, surface-distance and detection metrics."""
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,16 +70,18 @@ def _p95(key: np.ndarray, dist: np.ndarray, n: int) -> np.ndarray:
     numpy's default ("linear") percentile, bit for bit: all groups are
     sorted at once, and each value is interpolated at the virtual index
     ``(size - 1) * 0.95`` between its two order statistics the way numpy's
-    two-sided lerp does it. Every group must be non-empty.
+    two-sided lerp does it. A single group (the image HD95) is partitioned
+    at its two order statistics instead. Every group must be non-empty.
     """
-    s = dist[np.lexsort((dist, key))]
     size = np.bincount(key, minlength=n)
     first = np.cumsum(size) - size
     at = (size - 1) * 0.95
     lo = np.floor(at)
     g = at - lo
     i = first + lo.astype(np.intp)
-    a, b = s[i], s[np.minimum(i + 1, first + size - 1)]
+    j = np.minimum(i + 1, first + size - 1)
+    s = np.partition(dist, [i[0], j[0]]) if n == 1 else dist[np.lexsort((dist, key))]
+    a, b = s[i], s[j]
     d = b - a
     return np.where(g >= 0.5, b - d * (1 - g), a + d * g)
 
@@ -163,6 +166,21 @@ class SurfaceDistances:
     pred: NearestSurface  # predicted surface to GT surface
 
 
+_BOX = 3  # the ring search probes offsets of up to this many voxels per axis
+
+
+@functools.lru_cache(maxsize=16)
+def _shells(sp: tuple[float, float, float]) -> list[tuple[np.ndarray, float]]:
+    """Offsets nearer than any voxel outside the box, by shell of equal mm distance."""
+    off = np.argwhere(np.ones((2 * _BOX + 1,) * 3, bool)) - _BOX
+    nominal = np.sqrt(((off * sp) ** 2).sum(1))
+    outside = (_BOX + 1) * min(sp)  # the nearest voxel outside the box
+    keep = (nominal > 0) & (nominal < outside)
+    shell, which = np.unique(nominal[keep], return_inverse=True)
+    bound = np.append(shell[1:], outside)
+    return [(off[keep][which == k], bound[k]) for k in range(shell.size)]
+
+
 def _nearest_surface(
     src: LesionSet,
     s_pos: np.ndarray,
@@ -175,19 +193,43 @@ def _nearest_surface(
     """Nearest ``dst`` surface voxel of each ``src`` surface voxel.
 
     Row ``s_shared[i]`` of ``s_pos`` is the voxel at row ``d_shared[i]`` of
-    ``d_pos``: it is at distance 0, and only the other rows are queried.
+    ``d_pos``: it is at distance 0. The others probe ``dst`` shell by shell,
+    each distance computed as the kd-tree does, until a shell settles fewer
+    than half of those still open; the kd-tree takes the rest.
     """
-    dist = np.zeros(s_pos.size)
-    near = np.zeros(s_pos.size, np.int32)
+    dist, near = np.zeros(s_pos.size), np.zeros(s_pos.size, np.int32)
     near[s_shared] = dst.label[d_pos[d_shared]]
-    rest = np.ones(s_pos.size, bool)
-    rest[s_shared] = False
+    q = np.delete(np.arange(s_pos.size), s_shared)
     if d_pos.size == 0:
         dist[:] = np.inf
-    elif rest.any():
-        d, row = _nearest(dst.coords(d_pos) * sp, src.coords(s_pos[rest]) * sp)
-        dist[rest] = d
-        near[rest] = dst.label[d_pos[row]]
+    elif q.size:
+        xyz, d_xyz = src.coords(s_pos[q]), dst.coords(d_pos)
+        # keys on a grid padded by the box radius: no step wraps or leaves it
+        step = np.cumprod([1, src.shape[0] + 2 * _BOX, src.shape[1] + 2 * _BOX])
+        key, d_key = (xyz + _BOX) @ step, (d_xyz + _BOX) @ step
+        d, row = np.full(q.size, np.inf), np.zeros(q.size, np.intp)
+        todo = np.arange(q.size)
+        # settled: nearer than the next shell by more than rounding can move either
+        margin = 16 * np.finfo(float).eps * (max(src.shape) + _BOX + 1) * sp.max()
+        for off, bound in _shells(tuple(sp.tolist())):
+            t = (off @ step)[:, None] + key[todo]
+            at = np.searchsorted(d_key, t)
+            j, i = np.nonzero(d_key.take(at, mode="clip") == t)
+            c = xyz[todo[i]]
+            diff = (c * sp - (c + off[j]) * sp) ** 2
+            hit = np.full(t.shape, np.inf)
+            hit[j, i] = np.sqrt(diff[:, 0] + diff[:, 1] + diff[:, 2])
+            k = hit.argmin(0)
+            best = hit[k, np.arange(todo.size)]
+            better = best < d[todo]
+            d[todo[better]], row[todo[better]] = best[better], at[k[better], better]
+            done = d[todo] < bound - margin
+            todo = todo[~done]
+            if 2 * done.sum() < done.size or todo.size == 0:
+                break
+        if todo.size:
+            d[todo], row[todo] = _nearest(d_xyz * sp, xyz[todo] * sp)
+        dist[q], near[q] = d, dst.label[d_pos[row]]
     return NearestSurface(s_pos, dist, near)
 
 
@@ -196,17 +238,16 @@ def surface_distances(
 ) -> SurfaceDistances:
     """Each surface voxel's nearest surface voxel in the other mask, both ways.
 
-    A voxel on both surfaces is at distance 0; one binary search of the two
-    ascending surface index arrays finds those. Every other voxel is queried
-    against one kd-tree over the other mask's whole surface.
+    A voxel on both surfaces is at distance 0; one intersection of the two
+    ascending surface index arrays finds those. Every other voxel searches
+    its grid neighbourhood first; only the voxels that leaves open are
+    queried against one kd-tree over the other mask's whole surface.
     """
     sp = np.asarray(spacing, dtype=float)
     g_pos, p_pos = np.flatnonzero(gt.surface), np.flatnonzero(pred.surface)
-    g_idx, p_idx = gt.index[g_pos], pred.index[p_pos]
-    at = np.searchsorted(p_idx, g_idx)
-    both = at < p_idx.size
-    both[both] = p_idx[at[both]] == g_idx[both]
-    g_shared, p_shared = np.flatnonzero(both), at[both]
+    _, g_shared, p_shared = np.intersect1d(
+        gt.index[g_pos], pred.index[p_pos], assume_unique=True, return_indices=True
+    )
     return SurfaceDistances(
         sp,
         _nearest_surface(gt, g_pos, g_shared, pred, p_pos, p_shared, sp),
@@ -323,7 +364,7 @@ def compute_instance_metrics(
 
 def _c_ordered(ls: LesionSet, ns: NearestSurface) -> np.ndarray:
     """The distances of ``ns`` with their voxels in C [x, y, z] order."""
-    return ns.dist[np.lexsort(ls.coords(ns.pos).T[::-1])]
+    return ns.dist[np.argsort(np.ravel_multi_index(ls.coords(ns.pos).T, ls.shape))]
 
 
 def compute_image_metrics(

@@ -11,6 +11,13 @@ from .errors import DimsMismatch, NanVoxels, NotBinary, SpacingMismatch
 SPACING_RTOL = 1e-4
 
 
+def _checked_spacing(spacing) -> tuple[float, ...]:
+    spacing = tuple(float(s) for s in spacing)
+    if not all(0 < s < math.inf for s in spacing):
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+    return spacing
+
+
 @dataclass(eq=False)
 class Volume:
     """A dense 3D voxel grid with physical spacing.
@@ -28,9 +35,7 @@ class Volume:
             raise ValueError(f"volume data must be 3D, got shape {self.data.shape}")
         if any(d < 1 for d in self.data.shape):
             raise ValueError(f"all dims must be >= 1, got {self.data.shape}")
-        self.spacing = tuple(float(s) for s in self.spacing)
-        if not all(0 < s < math.inf for s in self.spacing):
-            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
+        self.spacing = _checked_spacing(self.spacing)
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -56,6 +61,9 @@ class Foreground:
     index: np.ndarray  # ascending z-major linear indices, i.e. (z, y, x) scan order
     dims: tuple[int, int, int]  # [x, y, z] extent of the grid
     spacing: tuple[float, float, float]
+
+    def __post_init__(self) -> None:
+        _checked_spacing(self.spacing)
 
     @classmethod
     def from_mask(cls, mask: Volume) -> "Foreground":

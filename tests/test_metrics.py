@@ -1,15 +1,20 @@
+import sys
 from dataclasses import astuple
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
+import lesioneval.metrics
 from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask
 from lesioneval.components import find_connected_components
 from lesioneval.errors import EmptySet
 from lesioneval.matching import match_lesions
 from lesioneval.metrics import (
+    _hd95_one,
     _p95,
     assd,
     compute_image_metrics,
@@ -20,7 +25,7 @@ from lesioneval.metrics import (
     surface_voxels,
 )
 from lesioneval.pipeline import RunConfig, evaluate_pair
-from lesioneval.volume import Volume
+from lesioneval.volume import Foreground, Volume
 from oracles import brute_surface, brute_surface_distances, whole_grid_image_metrics
 
 SQUARE = {(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)}
@@ -319,14 +324,16 @@ def test_evaluate_pair_builds_no_label_map(rng, monkeypatch):
 
 @pytest.fixture
 def kd_trees(monkeypatch):
-    """Counts the kd-trees ``lesioneval.metrics`` builds."""
-    import lesioneval.metrics
+    """Names, per kd-tree ``lesioneval.metrics`` builds, the function that asked.
 
+    ``_nearest_surface`` asks for a mask-wide tree, ``_partner_distances``
+    for one over a single partner lesion.
+    """
     built = []
 
     class Counting(lesioneval.metrics.cKDTree):
         def __init__(self, *args, **kwargs):
-            built.append(len(args[0]))
+            built.append(sys._getframe(2).f_code.co_name)  # the caller of _nearest
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(lesioneval.metrics, "cKDTree", Counting)
@@ -368,7 +375,7 @@ def test_pair_hd95_exact_when_prediction_merges(rng, kd_trees):
     gt = _boxes((12, 8, 8), s[1:5, 1:5, 1:5], s[6:9, 1:5, 1:5])
     pred = _boxes((12, 8, 8), s[1:9, 1:5, 1:5])
     assert _pair_hd95_is_brute(gt, pred, 6, rng) == 2
-    assert len(kd_trees) > 2  # the partner-only query ran
+    assert "_partner_distances" in kd_trees  # the partner-only query ran
 
 
 def test_pair_hd95_exact_when_third_lesion_is_closer(rng, kd_trees):
@@ -378,7 +385,7 @@ def test_pair_hd95_exact_when_third_lesion_is_closer(rng, kd_trees):
     gt = _boxes((12, 9, 9), s[3:8, 2:7, 2:7])
     pred = _boxes((12, 9, 9), s[5:10, 2:7, 2:7], s[0:3, 3:6, 3:6])
     assert _pair_hd95_is_brute(gt, pred, 6, rng) == 2
-    assert len(kd_trees) > 2
+    assert "_partner_distances" in kd_trees
 
 
 @pytest.mark.parametrize(
@@ -397,9 +404,8 @@ def test_pair_hd95_exact_for_diagonal_neighbours(
     moved = tuple(slice(sl.start + (i == 0), sl.stop) for i, sl in enumerate(touching))
     pred = _boxes((10, 10, 10), s[1:4, 1:4, 1:4], moved)
     assert len(find_connected_components(Volume(gt, (1, 1, 1)), connectivity)) == 1
-    before = len(kd_trees)
     assert _pair_hd95_is_brute(gt, pred, connectivity, rng) == 2
-    assert len(kd_trees) - before > 2
+    assert "_partner_distances" in kd_trees
     assert _pair_hd95_is_brute(gt, pred, 6, rng) > 0
 
 
@@ -415,7 +421,7 @@ def test_pair_hd95_exact_on_random_blobs(rng):
 
 
 @pytest.mark.parametrize("per_axis", [2, 5])
-def test_evaluate_pair_builds_two_trees(kd_trees, per_axis):
+def test_evaluate_pair_builds_no_tree_per_pair(kd_trees, monkeypatch, per_axis):
     # separated cubes, the prediction one voxel off: every surface voxel's
     # nearest voxel lies in its partner, so no pair needs its own tree
     n = 6 * per_axis + 2
@@ -424,11 +430,134 @@ def test_evaluate_pair_builds_two_trees(kd_trees, per_axis):
         for y in range(per_axis):
             gt[6 * x + 1 : 6 * x + 4, 6 * y + 1 : 6 * y + 4, 2:5] = 1
             pred[6 * x + 2 : 6 * x + 5, 6 * y + 1 : 6 * y + 4, 2:5] = 1
-    got = evaluate_pair(
-        "s", Volume(gt, (1, 1, 1)), Volume(pred, (1, 1, 1)), RunConfig(tau=0.1)
-    )
+    gt, pred = Volume(gt, (1, 1, 1)), Volume(pred, (1, 1, 1))
+    got = evaluate_pair("s", gt, pred, RunConfig(tau=0.1))
     assert len(got.pairs) == per_axis**2
-    assert len(kd_trees) == 2
+    assert kd_trees == []  # the ring search settles every voxel
+    # without it, one tree per direction and still none per pair
+    monkeypatch.setattr(lesioneval.metrics, "_shells", lambda sp: [])
+    assert evaluate_pair("s", gt, pred, RunConfig(tau=0.1)) == got
+    assert kd_trees == ["_nearest_surface"] * 2
+
+
+def _kd_only(src, dst, spacing):
+    """Each ``src`` surface voxel's kd-tree distance to the ``dst`` surface."""
+    sp = np.asarray(spacing, float)
+    d_pos = np.flatnonzero(dst.surface)
+    tree = cKDTree(dst.coords(d_pos) * sp)
+    return tree.query(src.coords(np.flatnonzero(src.surface)) * sp)[0]
+
+
+def _ring_is_kd(gt, pred, spacing):
+    """``surface_distances`` == the kd-tree alone, both ways, by ``==``.
+
+    Each voxel's ``near`` must name a lesion at exactly that distance; at a
+    tie it may differ from the tree's.
+    """
+    got = surface_distances(gt, pred, spacing)
+    sp = np.asarray(spacing, float)
+    for src, dst, ns in ((gt, pred, got.gt), (pred, gt, got.pred)):
+        assert ns.dist.tolist() == _kd_only(src, dst, spacing).tolist()
+        for lesion in np.unique(ns.near).tolist():
+            rows = ns.near == lesion
+            t = dst.run(lesion)
+            t = t[dst.surface[t]]
+            d = cKDTree(dst.coords(t) * sp).query(src.coords(ns.pos[rows]) * sp)[0]
+            assert d.tolist() == ns.dist[rows].tolist()
+
+
+_spacings = st.one_of(
+    st.just((1.0, 1.0, 1.0)),  # voxel units
+    st.floats(0.05, 20).map(lambda s: (s, s, s)),
+    # offsets of equal length whose float lengths differ in the last bits
+    st.sampled_from([(0.1,) * 3, (0.7,) * 3, (0.3, 0.4, 0.5), (0.6, 0.8, 1.0)]),
+    st.tuples(*[st.floats(0.3, 3.0)] * 3),
+    st.tuples(*[st.floats(1e-3, 250.0)] * 3),  # ratios up to 250,000
+)
+
+
+def _first_shells_as_one(m):
+    """``_shells`` with its first ``m + 1`` shells probed as one.
+
+    Still a valid table, whose first shell reaches the far bounds that the
+    stop rule seldom lets random masks reach.
+    """
+    original = lesioneval.metrics._shells
+
+    def shells(sp):
+        table = original(sp)
+        last = min(m, len(table) - 1)
+        head = np.concatenate([off for off, _ in table[: last + 1]])
+        return [(head, table[last][1])] + table[last + 1 :]
+
+    return shells
+
+
+def _lesions_at(voxels, dims, spacing, connectivity=6):
+    """The lesion set of ``voxels`` ([x, y, z] rows) in a grid of ``dims``."""
+    index = np.sort(np.ravel_multi_index(np.asarray(voxels).T, dims, order="F"))
+    return find_connected_components(Foreground(index, dims, spacing), connectivity)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(st.integers(1, 14), st.integers(1, 14), st.integers(1, 9)),
+    st.tuples(*[st.one_of(st.just(0), st.integers(0, 100_000))] * 3),
+    st.floats(0.005, 0.6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([6, 26]),
+    _spacings,
+    st.integers(0, 40),
+)
+def test_ring_search_equals_kd_tree(box, origin, density, seed, connectivity, spacing, m):
+    # iid voxels in a box at ``origin`` of a grid that ends at the box (nz may
+    # be 1): many small lesions, ties, voxels far from the other mask, and
+    # mm coordinates large enough for rounding to matter
+    rng = np.random.default_rng(seed)
+    dims = tuple(b + o for b, o in zip(box, origin))
+    vox = [np.argwhere(rng.random(box) < density) + origin for _ in range(2)]
+    gt, pred = (_lesions_at(v, dims, spacing, connectivity) for v in vox)
+    if len(gt) and len(pred):
+        _ring_is_kd(gt, pred, spacing)
+        with mock.patch.object(lesioneval.metrics, "_shells", _first_shells_as_one(m)):
+            _ring_is_kd(gt, pred, spacing)
+
+
+def test_ring_margin_grows_with_the_coordinates():
+    # offsets (2, 1, -1) and (-1, 1, 2) are equally long, but at 0.3 mm
+    # their float lengths differ in the last bit, so they fall in two
+    # shells. About 29 m from the origin, rounding of the mm coordinates
+    # makes the second 1.5e-12 mm nearer than the first: a margin of a few
+    # ulps of the distance, or none, certifies the first
+    dims, sp = (95661, 27419, 88197), (0.3, 0.3, 0.3)
+    p = np.array([95656, 27417, 88194])
+    ring, tree = p + (2, 1, -1), p + (-1, 1, 2)
+    table = lesioneval.metrics._shells(sp)
+    shell = [
+        next(k for k, (off, _) in enumerate(table) if list(o) in off.tolist())
+        for o in (ring - p, tree - p)
+    ]
+    assert shell[0] < shell[1]
+    gt, pred = _lesions_at([p], dims, sp), _lesions_at([ring, tree], dims, sp)
+    with mock.patch.object(lesioneval.metrics, "_shells", _first_shells_as_one(shell[0])):
+        _ring_is_kd(gt, pred, sp)
+
+
+@pytest.mark.parametrize(
+    "shift, trees",
+    [(1, []), (9, ["_nearest_surface"] * 2)],
+    ids=["all-settled", "fallback"],
+)
+def test_ring_search_settles_or_falls_back(kd_trees, rng, shift, trees):
+    # a cube moved one voxel in x and z is settled by the ring search alone;
+    # moved 9 voxels in x it is beyond the box, so every voxel goes to the tree
+    s = np.s_
+    gt = _boxes((16, 8, 8), s[1:5, 1:5, 1:5])
+    pred = _boxes((16, 8, 8), s[1 + shift : 5 + shift, 1:5, 2:6])
+    spacing = (rng.uniform(0.5, 2.0),) * 3
+    gt, pred = (find_connected_components(Volume(m, spacing)) for m in (gt, pred))
+    _ring_is_kd(gt, pred, spacing)
+    assert kd_trees == trees
 
 
 # distances with many ties: a few repeated values mixed with arbitrary ones
@@ -451,6 +580,34 @@ def test_p95_is_numpy_percentile_bit_for_bit(groups, random):
     got = _p95(key[order], dist[order], len(groups))
     want = np.array([np.percentile(g, 95) for g in groups])
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 30_000),
+    st.integers(1, 30_000),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_hd95_one_is_numpy_percentile_bit_for_bit(n_ab, n_ba, tied, seed):
+    # large single groups (the image HD95), a share ``tied`` of them on a
+    # few repeated values, under both variants
+    rng = np.random.default_rng(seed)
+
+    def distances(n):
+        d = rng.uniform(0, 50, n)
+        ties = rng.random(n) < tied
+        d[ties] = rng.choice([0.0, 1.0, np.sqrt(2), 2.0], ties.sum())
+        return d
+
+    d_ab, d_ba = distances(n_ab), distances(n_ba)
+    want = {
+        "pooled": np.percentile(np.concatenate([d_ab, d_ba]), 95),
+        "max-of-directed": max(np.percentile(d_ab, 95), np.percentile(d_ba, 95)),
+    }
+    for variant, w in want.items():
+        got = _hd95_one(d_ab, d_ba, variant)
+        assert np.float64(got).view(np.int64) == np.float64(w).view(np.int64)
 
 
 def test_lesion_metrics_independent_of_batch(rng):

@@ -14,7 +14,7 @@ from lesioneval.errors import (
     UnsupportedDatatype,
 )
 from lesioneval.nifti import VOX_OFFSET, read_foreground, read_volume, write_volume
-from lesioneval.volume import Volume, binarize, check_compatibility
+from lesioneval.volume import Foreground, Volume, binarize, check_compatibility
 
 
 def test_roundtrip_zero_volume(tmp_path):
@@ -186,6 +186,15 @@ def test_single_file_vox_offset_inside_header_rejected(tmp_path, offset):
 def test_volume_rejects_bad_spacing(spacing):
     with pytest.raises(ValueError, match="spacing"):
         Volume(np.zeros((2, 2, 2), dtype=np.uint8), spacing)
+
+
+@pytest.mark.parametrize(
+    "spacing", [(-1.0, 2.0, 1.0), (0.0, 2.0, 1.0), (1, np.nan, 1), (1, 1, np.inf)]
+)
+def test_foreground_rejects_bad_spacing(spacing):
+    # a negative or zero spacing used to give lesion volumes of -6.0 or 0.0 mm^3
+    with pytest.raises(ValueError, match="spacing"):
+        Foreground(np.array([0, 1, 2]), (10, 10, 10), spacing)
 
 
 def test_big_endian_read(tmp_path):
