@@ -9,18 +9,50 @@ from scipy.sparse.csgraph import connected_components
 
 from .volume import Foreground, Volume
 
-# connectivity -> the (dx, dy, dz) neighbour offsets that come later in
-# (z, y, x) scan order: each neighbour pair is then seen exactly once
-_FORWARD = {
-    conn: [
-        (dx, dy, dz)
-        for dz in (0, 1)
-        for dy in (-1, 0, 1)
-        for dx in (-1, 0, 1)
-        if (dz, dy, dx) > (0, 0, 0) and abs(dx) + abs(dy) + abs(dz) <= rank
-    ]
-    for conn, rank in ((6, 1), (18, 2), (26, 3))
+# connectivity -> the rows (dy, dz) after a run's own in scan order, each with the
+# x slack within which their runs touch it: each touching pair is seen once
+_ROWS = {
+    6: [(1, 0, 0), (0, 1, 0)],
+    18: [(1, 0, 1), (0, 1, 1), (-1, 1, 0), (1, 1, 0)],
+    26: [(1, 0, 1), (0, 1, 1), (-1, 1, 1), (1, 1, 1)],
 }
+
+
+def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges ``start[i] .. start[i] + count[i] - 1``, concatenated."""
+    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+
+
+def _touching(k0: np.ndarray, k1: np.ndarray, step: int, slack: int):
+    """Each pair (a, b) of runs, b ``step`` keys on from a's row, whose x spans
+    are at most ``slack`` apart; two binary searches of the run ends find b."""
+    lo = np.searchsorted(k1, k0 + step - slack)
+    n = np.searchsorted(k0, k1 + step + slack, side="right") - lo
+    return np.repeat(np.arange(k0.size), n), _ranges(lo, n)
+
+
+def _surface(first, length, k0, k1, steps) -> np.ndarray:
+    """Flag voxels with a face neighbour outside the foreground: run ends, and
+    voxels not covered by runs of all four face rows. Each pair of runs in
+    adjacent face rows covers its x overlap in both; a difference array counts."""
+    cover = np.zeros(length.sum() + 1, np.int64)
+    for step in steps:
+        a, b = _touching(k0, k1, step, 0)
+        s, e = np.maximum(k0[a], k0[b] - step), np.minimum(k1[a], k1[b] - step) + 1
+        for r, shift in ((a, 0), (b, step)):
+            at = first[r] - k0[r] + shift
+            cover += np.bincount(at + s, minlength=cover.size)
+            cover -= np.bincount(at + e, minlength=cover.size)
+    surface = np.cumsum(cover[:-1], dtype=np.int8) < 4
+    surface[first] = surface[first + length - 1] = True
+    return surface
+
+
+def _run_components(k0: np.ndarray, k1: np.ndarray, rows) -> np.ndarray:
+    """Each run's component in the graph of touching runs."""
+    src, dst = map(np.concatenate, zip(*[_touching(k0, k1, *row) for row in rows]))
+    graph = coo_array((np.ones(src.size, np.int8), (src, dst)), shape=(k0.size,) * 2)
+    return connected_components(graph, directed=False)[1]
 
 
 @dataclass(frozen=True)
@@ -75,43 +107,38 @@ def find_connected_components(
     A volume is taken through ``Foreground.from_mask``, which requires
     0/1 voxels.
 
-    Labels are assigned deterministically: components are numbered 1..N by
-    their minimum voxel in lexicographic (z, y, x) order. A voxel is on the
+    The foreground is cut into maximal x-runs, and the graph of touching
+    runs is labelled, so the cost follows the number of runs. Labels are
+    assigned deterministically: components are numbered 1..N by their
+    minimum voxel in lexicographic (z, y, x) order. A voxel is on the
     surface when fewer than 6 of its face neighbours are foreground, the
     grid edge counting as outside; face neighbours always share a lesion,
     so this is each lesion's own surface at every connectivity.
     """
-    if connectivity not in _FORWARD:
+    if connectivity not in _ROWS:
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity}")
     fg = Foreground.from_mask(mask) if isinstance(mask, Volume) else mask
     idx = fg.index
     nx, ny, nz = fg.dims
-    z, rest = np.divmod(idx, nx * ny)
-    y, x = np.divmod(rest, nx)
+    # maximal x-runs, keyed by first and last voxel on a grid padded by one
+    # voxel per side in x and y, so no step to another row, nor a slack, wraps
+    i64 = idx.astype(np.int64, copy=False)
+    first = np.flatnonzero((np.diff(i64, prepend=-1) != 1) | (i64 % nx == 0))
+    length = np.diff(first, append=idx.size)
+    z, rest = np.divmod(i64[first], nx * ny)
+    k0 = (z * (ny + 2) + rest // nx + 1) * (nx + 2) + rest % nx + 1
+    k1 = k0 + length - 1
+    sy, sz = nx + 2, (nx + 2) * (ny + 2)  # key steps to the next row in y and in z
+    surface = _surface(first, length, k0, k1, (sy, sz))
+    rows = [(dy * sy + dz * sz, slack) for dy, dz, slack in _ROWS[connectivity]]
+    comp = _run_components(k0, k1, rows)
 
-    # one edge per pair of foreground neighbours, found by binary search;
-    # the bounds check keeps a step from wrapping into the next row or slice
-    room = [{-1: c > 0, 0: True, 1: c < n - 1} for c, n in ((x, nx), (y, ny), (z, nz))]
-    src, dst, face = [], [], []
-    for dx, dy, dz in _FORWARD[connectivity]:
-        at = np.flatnonzero(room[0][dx] & room[1][dy] & room[2][dz])
-        target = idx[at] + (dz * ny + dy) * nx + dx
-        pos = np.searchsorted(idx, target)
-        hit = idx.take(pos, mode="clip") == target
-        src.append(at[hit])
-        dst.append(pos[hit])
-        if abs(dx) + abs(dy) + abs(dz) == 1:
-            face += [src[-1], dst[-1]]
-    surface = np.bincount(np.concatenate(face), minlength=idx.size) < 6
-    src, dst = np.concatenate(src), np.concatenate(dst)
-    graph = coo_array((np.ones(src.size, np.int8), (src, dst)), shape=(idx.size,) * 2)
-    _, comp = connected_components(graph, directed=False)
-
-    # number components 1..N by their first voxel in scan order
-    _, first = np.unique(comp, return_index=True)
-    number = np.empty(first.size, np.int32)
-    number[np.argsort(first)] = np.arange(1, first.size + 1, dtype=np.int32)
-    labels = number[comp]
+    # number components 1..N by their first run in scan order
+    _, lead = np.unique(comp, return_index=True)
+    number = np.empty(lead.size, np.int32)
+    number[np.argsort(lead)] = np.arange(1, lead.size + 1, dtype=np.int32)
+    run_label = number[comp]
+    labels = np.repeat(run_label, length)
 
     sizes = np.bincount(labels)[1:]
     starts = np.concatenate([[0], np.cumsum(sizes)])
@@ -120,5 +147,6 @@ def find_connected_components(
         Lesion(lesion_id, n, n * voxel_mm3)
         for lesion_id, n in enumerate(sizes.tolist(), start=1)
     ]
-    order = np.argsort(labels, kind="stable")
+    runs = np.argsort(run_label, kind="stable")
+    order = _ranges(first[runs], length[runs])
     return LesionSet(lesions, (nx, ny, nz), idx, labels, surface, order, starts)

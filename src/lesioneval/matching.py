@@ -33,6 +33,15 @@ def iou_counts(inter: int, na: int, nb: int) -> float:
     return inter / (na + nb - inter)
 
 
+def intersect_sorted(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions in ``a`` and in ``b`` of the values both hold; both strictly ascending."""
+    if a.size > b.size:  # search the shorter in the longer: no take from an empty b
+        return intersect_sorted(b, a)[::-1]
+    at = np.searchsorted(b, a)
+    ia = np.flatnonzero(b.take(at, mode="clip") == a)
+    return ia, at[ia]
+
+
 def generate_candidates(
     gt: LesionSet, pred: LesionSet, tau: float = DEFAULT_TAU
 ) -> list[CandidatePair]:
@@ -42,9 +51,7 @@ def generate_candidates(
     masks share; one joint count of their label pairs gives every
     pairwise intersection at once.
     """
-    _, gi, pi = np.intersect1d(
-        gt.index, pred.index, assume_unique=True, return_indices=True
-    )
+    gi, pi = intersect_sorted(gt.index, pred.index)
     stride = len(pred.lesions) + 1
     keys, counts = np.unique(
         gt.label[gi].astype(np.int64) * stride + pred.label[pi], return_counts=True

@@ -9,7 +9,7 @@ from scipy.spatial import cKDTree
 
 from .components import LesionSet, find_connected_components
 from .errors import EmptySet
-from .matching import MatchSet, iou_counts
+from .matching import MatchSet, intersect_sorted, iou_counts
 from .volume import Volume
 
 
@@ -245,9 +245,7 @@ def surface_distances(
     """
     sp = np.asarray(spacing, dtype=float)
     g_pos, p_pos = np.flatnonzero(gt.surface), np.flatnonzero(pred.surface)
-    _, g_shared, p_shared = np.intersect1d(
-        gt.index[g_pos], pred.index[p_pos], assume_unique=True, return_indices=True
-    )
+    g_shared, p_shared = intersect_sorted(gt.index[g_pos], pred.index[p_pos])
     return SurfaceDistances(
         sp,
         _nearest_surface(gt, g_pos, g_shared, pred, p_pos, p_shared, sp),
@@ -308,9 +306,7 @@ def compute_lesion_metrics(
     p_pair = np.full(len(pred) + 1, -1, np.intp)
     p_pair[p_ids] = np.arange(n)
 
-    _, gi, pi = np.intersect1d(
-        gt.index, pred.index, assume_unique=True, return_indices=True
-    )
+    gi, pi = intersect_sorted(gt.index, pred.index)
     k = g_pair[gt.label[gi]]
     inter = np.bincount(k[(k >= 0) & (p_pair[pred.label[pi]] == k)], minlength=n)
 
@@ -381,7 +377,7 @@ def compute_image_metrics(
     when both are empty.
     """
     n_g, n_p = gt.index.size, pred.index.size
-    inter = np.intersect1d(gt.index, pred.index, assume_unique=True).size
+    inter = intersect_sorted(gt.index, pred.index)[0].size
     voxel_dice = _dice_counts(inter, n_g, n_p)
     voxel_hd95 = assd_mm = None
     if n_g > 0 and n_p > 0:

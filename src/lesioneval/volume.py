@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,12 +59,21 @@ class Volume:
 class Foreground:
     """The foreground voxels of a binary mask, without its grid."""
 
-    index: np.ndarray  # ascending z-major linear indices, i.e. (z, y, x) scan order
+    index: np.ndarray  # strictly ascending z-major linear indices: (z, y, x) scan order
     dims: tuple[int, int, int]  # [x, y, z] extent of the grid
     spacing: tuple[float, float, float]
 
     def __post_init__(self) -> None:
         _checked_spacing(self.spacing)
+        dims, idx = self.dims, self.index
+        if len(dims) != 3 or not all(isinstance(d, numbers.Integral) and d > 0 for d in dims):
+            raise ValueError(f"dims must be three positive ints, got {dims}")
+        n = math.prod(dims)
+        # the labeller rests on this: a repeat or a step back splits or merges lesions
+        if idx.ndim != 1 or idx.dtype.kind not in "iu" or (idx.size and not (
+            0 <= idx[0] and idx[-1] < n and (idx[1:] > idx[:-1]).all()
+        )):
+            raise ValueError(f"index must be 1-D integers strictly ascending in [0, {n})")
 
     @classmethod
     def from_mask(cls, mask: Volume) -> "Foreground":

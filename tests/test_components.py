@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from conftest import lesion_boxes, lesion_voxel_sets, mask_from_voxels, random_b
 from lesioneval.components import find_connected_components
 from lesioneval.errors import NotBinary
 from oracles import erosion_surface, flood_fill_components, scipy_label_components
-from lesioneval.volume import Volume
+from lesioneval.volume import Foreground, Volume
 
 
 def test_empty_mask():
@@ -64,9 +66,9 @@ def test_matches_scipy_labeller(rng, connectivity, order):
     _assert_matches_scipy(np.zeros((4, 3, 2), dtype=np.uint8, order=order), connectivity)
 
 
-# (X, Y, Z) = (5, 4, 3): pairs of voxels that are close in z-major linear
-# index, or that a forward step would reach by wrapping, yet are not
-# neighbours in space
+# (X, Y, Z) = (5, 4, 3): pairs of voxels, or of x-runs, that are close in
+# z-major linear index, or that a forward step or an x slack would reach by
+# wrapping, yet are not neighbours in space
 WRAP_PAIRS = {
     "row-end-next-row": [(4, 1, 1), (0, 2, 1)],
     "row-start-row-end": [(0, 1, 1), (4, 1, 1)],
@@ -75,6 +77,13 @@ WRAP_PAIRS = {
     "slice-start-slice-end": [(2, 0, 1), (2, 3, 1)],
     "slice-corner-next-slice": [(4, 3, 0), (0, 0, 1)],
     "last-slice-row-end": [(4, 3, 2), (0, 0, 2)],
+    "runs-row-end-next-row": [(3, 1, 1), (4, 1, 1), (0, 2, 1), (1, 2, 1)],
+    "runs-row-start-row-end": [(0, 1, 1), (1, 1, 1), (3, 1, 1), (4, 1, 1)],
+    "runs-row-end-two-rows-on": [(3, 1, 1), (4, 1, 1), (0, 3, 1), (1, 3, 1)],
+    "runs-slice-start-slice-end": [(1, 0, 1), (2, 0, 1), (1, 3, 1), (2, 3, 1)],
+    "runs-row-start-diagonal": [(0, 2, 1), (1, 2, 1), (3, 1, 2), (4, 1, 2)],
+    "runs-slice-end-next-slice": [(2, 3, 0), (3, 3, 0), (4, 3, 0), (0, 0, 1), (1, 0, 1)],
+    "full-rows-slice-end-next-slice": [(x, y, z) for x in range(5) for y, z in ((3, 1), (0, 2))],
 }
 
 
@@ -99,6 +108,47 @@ def test_lesions_on_all_six_faces(connectivity):
     for axis, n in enumerate(dims):
         assert any(b[axis].start == 0 for b in boxes)
         assert any(b[axis].stop == n for b in boxes)
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_full_grid_is_one_lesion(connectivity):
+    for dims in [(5, 4, 3), (1, 4, 3), (6, 1, 1), (1, 1, 1)]:
+        ls = _assert_matches_scipy(np.ones(dims, dtype=np.uint8), connectivity)
+        assert len(ls) == 1 and ls.lesions[0].volume_vox == np.prod(dims)
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_one_voxel_runs_when_nx_is_1(rng, connectivity):
+    # with one voxel per row every run is a single voxel
+    for dims in [(1, 12, 10), (1, 1, 9), (1, 9, 1)]:
+        for density in (0.2, 0.5, 0.9):
+            _assert_matches_scipy((rng.random(dims) < density).astype(np.uint8), connectivity)
+        _assert_matches_scipy(random_blob_mask(rng, dims, 0.4).data, connectivity)
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_array_dtypes(rng, connectivity):
+    for data in (random_blob_mask(rng, (9, 8, 7), 0.3).data, np.zeros((3, 3, 3), np.uint8)):
+        ls = _assert_matches_scipy(data, connectivity)
+        assert ls.label.dtype == np.int32
+        assert ls.order.dtype == np.intp
+        assert ls.starts.dtype == np.int64
+        assert ls.surface.dtype == bool
+
+
+def test_labeller_memory_budget():
+    # the labeller's transient arrays follow its runs and touching pairs, not
+    # its voxels: this mask needs about 58 bytes a voxel at connectivity 26
+    data = random_blob_mask(np.random.default_rng(7), (64, 64, 64), 0.4).data
+    fg = Foreground.from_mask(Volume(data, (1.0, 1.0, 1.0)))
+    assert 90_000 < fg.index.size < 120_000
+    tracemalloc.start()
+    try:
+        find_connected_components(fg, 26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * fg.index.size
 
 
 def test_numbering_does_not_rest_on_the_graph_labeller(rng, monkeypatch):

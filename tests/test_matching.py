@@ -7,6 +7,7 @@ from lesioneval.matching import (
     CandidatePair,
     generate_candidates,
     greedy_match,
+    intersect_sorted,
     match_lesions,
 )
 from oracles import iou_table, naive_match
@@ -17,6 +18,14 @@ SQUARE_SHIFTED = [(1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0)]  # +1 in x
 
 def _extract(voxels, dims=(8, 8, 2)):
     return find_connected_components(mask_from_voxels(voxels, dims))
+
+
+def test_intersect_sorted_equals_numpy(rng):
+    for _ in range(500):
+        a, b = (np.flatnonzero(rng.random(rng.integers(0, 40)) < rng.random()) for _ in "ab")
+        want = np.intersect1d(a, b, assume_unique=True, return_indices=True)[1:]
+        for got, ref in zip(intersect_sorted(a, b), want):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
 
 def test_candidate_iou_hand_cases():

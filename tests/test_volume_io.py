@@ -197,6 +197,35 @@ def test_foreground_rejects_bad_spacing(spacing):
         Foreground(np.array([0, 1, 2]), (10, 10, 10), spacing)
 
 
+@pytest.mark.parametrize(
+    "index, dims",
+    [
+        # descending: used to label two face neighbours as 2 lesions
+        pytest.param([1, 0], (3, 3, 3), id="descending"),
+        # repeated: used to give one 3-voxel lesion made of 2 voxels
+        pytest.param([0, 0, 1], (3, 3, 3), id="repeated"),
+        pytest.param([0, 27], (3, 3, 3), id="past-the-grid"),
+        pytest.param([-1, 0], (3, 3, 3), id="negative"),
+        pytest.param([0.0, 1.0], (3, 3, 3), id="float"),
+        pytest.param([[0, 1]], (3, 3, 3), id="2-d"),
+        pytest.param([0, 1], (3, 3), id="two-dims"),
+        pytest.param([0, 1], (3, 0, 3), id="zero-dim"),
+        pytest.param([0, 1], (3, -3, 3), id="negative-dim"),
+        pytest.param([0, 1], (3, 3.0, 3), id="float-dim"),
+    ],
+)
+def test_foreground_rejects_malformed_index_or_dims(index, dims):
+    with pytest.raises(ValueError, match="index|dims"):
+        Foreground(np.array(index), dims, (1.0, 1.0, 1.0))
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.int64, np.uint64])
+def test_foreground_accepts_any_integer_dtype(dtype):
+    for index in ([], [0], [0, 1, 5, 26]):
+        fg = Foreground(np.array(index, dtype=dtype), (3, 3, 3), (1.0, 1.0, 1.0))
+        assert fg.index.size == len(index)
+
+
 def test_big_endian_read(tmp_path):
     # re-encode a written file byte-swapped and check the parser detects it
     v = Volume(np.arange(8, dtype=np.int16).reshape((2, 2, 2), order="F"), (1, 1, 1))
