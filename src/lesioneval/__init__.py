@@ -20,13 +20,10 @@ from .metrics import (  # noqa: E402,F401
     ImageMetrics,
     LesionPairMetrics,
     SurfaceDistances,
-    assd,
     compute_image_metrics,
     compute_instance_metrics,
     compute_lesion_metrics,
-    hd95,
     surface_distances,
-    surface_voxels,
 )
 from .nifti import read_foreground, read_volume, write_volume  # noqa: E402,F401
 from .pipeline import ManifestRow, RunConfig, evaluate_pair, evaluate_sample  # noqa: E402,F401

@@ -1,8 +1,7 @@
-"""Command-line interface: evaluate, tune-tau, inspect."""
+"""Command-line interface: evaluate, inspect."""
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -60,16 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--gt", help="single-pair mode: ground-truth mask")
     ev.add_argument("--pred", help="single-pair mode: predicted mask")
     _add_eval_flags(ev)
-
-    tune = sub.add_parser("tune-tau", help="sweep tau on synthetic cases")
-    tune.add_argument("--seed", type=int, default=0)
-    tune.add_argument("--cases", type=int, default=20)
-    tune.add_argument("--grid-size", type=int, default=96)
-    tune.add_argument("--out", default="lesioneval-tune")
-    tune.add_argument(
-        "--taus", type=float, nargs="*", default=None,
-        help="sweep grid (default 0.05..0.95 step 0.05)",
-    )
 
     ins = sub.add_parser("inspect", help="summarize one mask volume")
     ins.add_argument("volume")
@@ -132,44 +121,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
-def _cmd_tune_tau(args: argparse.Namespace) -> int:
-    # synth needs scipy.ndimage, which evaluate never loads
-    from .synth import DEFAULT_SWEEP_GRID, SynthParams, generate_case, tau_sweep
-
-    params = SynthParams(
-        dims=(args.grid_size, args.grid_size, 1),
-        counts={"VerySmall": 2, "Small": 4, "Medium": 3, "Large": 1},
-        kinds=("none", "shift", "dilate", "erode", "drop"),
-        shift_max=2,
-        dilate_max=1,
-        erode_max=1,
-        n_spurious=2,
-    )
-    cases = [generate_case(params, args.seed + i) for i in range(args.cases)]
-    taus = args.taus if args.taus else DEFAULT_SWEEP_GRID
-    result = tau_sweep(cases, sorted(taus))
-
-    import csv as _csv
-    import os
-
-    os.makedirs(args.out, exist_ok=True)
-    csv_path = os.path.join(args.out, "tau_sweep.csv")
-    with open(csv_path, "w", newline="") as f:
-        w = _csv.writer(f, lineterminator="\n")
-        w.writerow(["tau", "f1"])
-        for tau, f1 in zip(result.taus, result.f1_at_tau):
-            w.writerow([tau, repr(f1)])
-    json_path = os.path.join(args.out, "best_tau.json")
-    with open(json_path, "w") as f:
-        json.dump(
-            {"best_tau": result.best_tau, "seed": args.seed, "n_cases": args.cases},
-            f, indent=2, sort_keys=True,
-        )
-        f.write("\n")
-    print(f"best tau {result.best_tau} -> {json_path}")
-    return EXIT_OK
-
-
 def _cmd_inspect(args: argparse.Namespace) -> int:
     try:
         RunConfig(binarize_threshold=args.threshold)
@@ -196,8 +147,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "evaluate":
             return _cmd_evaluate(args)
-        if args.command == "tune-tau":
-            return _cmd_tune_tau(args)
         if args.command == "inspect":
             return _cmd_inspect(args)
     except LesionEvalError as e:

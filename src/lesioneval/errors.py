@@ -37,10 +37,6 @@ class NotBinary(LesionEvalError):
     """Mask contains values other than 0 and 1."""
 
 
-class EmptySet(LesionEvalError):
-    """Surface-distance metric requested on an empty voxel set."""
-
-
 class PlacementFailure(LesionEvalError):
     """Synthetic lesion placement failed after bounded retries."""
 

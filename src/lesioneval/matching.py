@@ -1,7 +1,7 @@
 """Greedy one-to-one IoU matching between GT and predicted lesions."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ class MatchSet:
     unmatched_gt: list[int]  # false negatives
     unmatched_pred: list[int]  # false positives
     tau: float
-    trace: list[str] = field(default_factory=list, repr=False)
 
 
 def iou_counts(inter: int, na: int, nb: int) -> float:
@@ -65,9 +64,7 @@ def generate_candidates(
     return out
 
 
-def greedy_match(
-    candidates: list[CandidatePair], trace: list[str] | None = None
-) -> list[tuple[int, int, float]]:
+def greedy_match(candidates: list[CandidatePair]) -> list[tuple[int, int, float]]:
     """Accept candidates in descending IoU order while both endpoints are free.
 
     Ties broken by (gt_id, pred_id) for platform-independent determinism.
@@ -77,32 +74,19 @@ def greedy_match(
     used_pred: set[int] = set()
     matches: list[tuple[int, int, float]] = []
     for c in ordered:
-        if c.gt_id in used_gt:
-            reason = "skipped: gt locked"
-        elif c.pred_id in used_pred:
-            reason = "skipped: pred locked"
-        else:
+        if c.gt_id not in used_gt and c.pred_id not in used_pred:
             used_gt.add(c.gt_id)
             used_pred.add(c.pred_id)
             matches.append((c.gt_id, c.pred_id, c.iou))
-            reason = "accepted"
-        if trace is not None:
-            trace.append(f"G{c.gt_id} P{c.pred_id} iou={c.iou:.6f} {reason}")
     return matches
 
 
-def match_lesions(
-    gt: LesionSet,
-    pred: LesionSet,
-    tau: float = DEFAULT_TAU,
-    with_trace: bool = False,
-) -> MatchSet:
+def match_lesions(gt: LesionSet, pred: LesionSet, tau: float = DEFAULT_TAU) -> MatchSet:
     """Full matching: candidates, greedy resolution, FP/FN residues."""
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"tau must be in [0, 1), got {tau}")
     candidates = generate_candidates(gt, pred, tau)
-    trace: list[str] = []
-    matches = greedy_match(candidates, trace if with_trace else None)
+    matches = greedy_match(candidates)
     matched_gt = {m[0] for m in matches}
     matched_pred = {m[1] for m in matches}
     return MatchSet(
@@ -110,5 +94,4 @@ def match_lesions(
         unmatched_gt=[l.id for l in gt.lesions if l.id not in matched_gt],
         unmatched_pred=[l.id for l in pred.lesions if l.id not in matched_pred],
         tau=tau,
-        trace=trace,
     )

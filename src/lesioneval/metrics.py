@@ -7,10 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .components import LesionSet, find_connected_components
-from .errors import EmptySet
+from .components import LesionSet
 from .matching import MatchSet, intersect_sorted, iou_counts
-from .volume import Volume
 
 
 @dataclass(frozen=True)
@@ -111,41 +109,6 @@ def _hd95_one(d_ab: np.ndarray, d_ba: np.ndarray, variant: str) -> float:
     """``_hd95`` of a single group."""
     k_ab, k_ba = np.zeros(d_ab.size, np.intp), np.zeros(d_ba.size, np.intp)
     return float(_hd95(k_ab, d_ab, k_ba, d_ba, 1, variant)[0])
-
-
-def surface_voxels(voxels: np.ndarray) -> np.ndarray:
-    """Border voxels of a set (those with a 6-neighbor outside it), C-ordered."""
-    voxels = np.asarray(voxels)
-    if len(voxels) == 0:
-        raise EmptySet("surface of an empty voxel set")
-    lo = voxels.min(axis=0)
-    mask = np.zeros(voxels.max(axis=0) - lo + 1, dtype=np.uint8)
-    rel = voxels - lo
-    mask[rel[:, 0], rel[:, 1], rel[:, 2]] = 1
-    ls = find_connected_components(Volume(mask, (1, 1, 1)))
-    pts = ls.coords(np.flatnonzero(ls.surface))
-    return pts[np.lexsort(pts.T[::-1])] + lo
-
-
-def _directed(
-    a: np.ndarray, b: np.ndarray, spacing: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both directed surface-distance arrays of two voxel sets."""
-    sp = np.asarray(spacing, dtype=float)
-    a_mm, b_mm = surface_voxels(a) * sp, surface_voxels(b) * sp
-    return _nearest(b_mm, a_mm)[0], _nearest(a_mm, b_mm)[0]
-
-
-def hd95(
-    a: np.ndarray, b: np.ndarray, spacing: tuple, variant: str = "pooled"
-) -> float:
-    """95th percentile (linear interpolation) of symmetric surface distances."""
-    return _hd95_one(*_directed(a, b, spacing), variant)
-
-
-def assd(a: np.ndarray, b: np.ndarray, spacing: tuple) -> float:
-    """Mean of the pooled symmetric surface-distance multiset."""
-    return float(np.concatenate(_directed(a, b, spacing)).mean())
 
 
 @dataclass(frozen=True)
@@ -347,9 +310,7 @@ def detection_rates(
     return precision, recall, f1
 
 
-def compute_instance_metrics(
-    gt: LesionSet, pred: LesionSet, m: MatchSet
-) -> DetectionCounts:
+def compute_instance_metrics(m: MatchSet) -> DetectionCounts:
     """Lesion-level TP/FP/FN and the derived detection rates."""
     tp = len(m.matches)
     fn = len(m.unmatched_gt)

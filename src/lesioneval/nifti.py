@@ -221,11 +221,14 @@ def _read_json_fixture(path: str) -> Volume:
         obj = json.loads(text)
         dims = tuple(int(d) for d in obj["dims"])
         spacing = tuple(float(s) for s in obj["spacing"])
-        flat = np.asarray(obj["data"], dtype=np.uint8)
+        # the values as written: ints stay ints, floats (NaN too) floats
+        flat = np.asarray(obj["data"])
     except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise BadMagic(f"{path}: not a JSON fixture: {type(e).__name__}: {e}") from e
     if len(dims) != 3 or len(spacing) != 3:
         raise BadMagic(f"{path}: dims and spacing need three entries each")
+    if flat.ndim != 1 or flat.dtype.kind not in "biuf":
+        raise BadMagic(f"{path}: data must be a flat list of numbers")
     if flat.size != dims[0] * dims[1] * dims[2]:
         raise TruncatedFile(f"{path}: data length {flat.size} != product of dims {dims}")
     data = flat.reshape(dims, order="F")

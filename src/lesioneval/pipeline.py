@@ -4,7 +4,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .components import find_connected_components
 from .errors import ManifestParseError
@@ -35,7 +35,9 @@ class RunConfig:
         if self.connectivity not in (6, 18, 26):
             raise ValueError(f"connectivity must be 6/18/26, got {self.connectivity}")
         if self.distance_units not in ("mm", "voxels"):
-            raise ValueError(f"distance_units must be mm or voxels")
+            raise ValueError(
+                f"distance_units must be mm or voxels, got {self.distance_units!r}"
+            )
         if self.hd95_variant not in ("pooled", "max-of-directed"):
             raise ValueError(f"unknown hd95 variant {self.hd95_variant!r}")
         if not math.isfinite(self.binarize_threshold):
@@ -43,7 +45,7 @@ class RunConfig:
                 f"binarize_threshold must be finite, got {self.binarize_threshold}"
             )
         if self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
+            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
 
     def provenance(self) -> dict:
         """Config fields embedded in every report.
@@ -91,13 +93,12 @@ def evaluate_pair(
     pred_vol: Volume,
     config: RunConfig,
     model_tag: str = "model",
-    with_trace: bool = False,
 ) -> SampleResult:
     """Binarize, extract, match, measure and stratify one mask pair."""
     t = config.binarize_threshold
     gt = Foreground.from_mask(binarize(gt_vol, t))
     pred = Foreground.from_mask(binarize(pred_vol, t))
-    return _evaluate(sample_id, gt, pred, config, model_tag, with_trace)
+    return _evaluate(sample_id, gt, pred, config, model_tag)
 
 
 def _evaluate(
@@ -106,19 +107,18 @@ def _evaluate(
     pred: Foreground,
     config: RunConfig,
     model_tag: str,
-    with_trace: bool,
 ) -> SampleResult:
     check_compatibility(gt, pred)
     spacing = gt.spacing if config.distance_units == "mm" else (1.0, 1.0, 1.0)
 
     gt_ls = find_connected_components(gt, config.connectivity)
     pred_ls = find_connected_components(pred, config.connectivity)
-    match = match_lesions(gt_ls, pred_ls, config.tau, with_trace=with_trace)
+    match = match_lesions(gt_ls, pred_ls, config.tau)
     dists = surface_distances(gt_ls, pred_ls, spacing)
     pairs = compute_lesion_metrics(
         gt_ls, pred_ls, match.matches, dists, config.hd95_variant
     )
-    detection = compute_instance_metrics(gt_ls, pred_ls, match)
+    detection = compute_instance_metrics(match)
     image = compute_image_metrics(gt_ls, pred_ls, config.hd95_variant, dists)
     per_bin, records = stratify(gt_ls, pred_ls, match, pairs)
     return SampleResult(
@@ -131,7 +131,6 @@ def _evaluate(
         records=records,
         gt_lesions=len(gt_ls),
         pred_lesions=len(pred_ls),
-        trace=match.trace,
     )
 
 
@@ -139,7 +138,7 @@ def evaluate_sample(row: ManifestRow, config: RunConfig) -> SampleResult:
     """``evaluate_pair`` on two files, each streamed to its foreground."""
     gt = read_foreground(row.gt_path, config.binarize_threshold)
     pred = read_foreground(row.pred_path, config.binarize_threshold)
-    return _evaluate(row.sample_id, gt, pred, config, row.model_tag, False)
+    return _evaluate(row.sample_id, gt, pred, config, row.model_tag)
 
 
 def read_manifest(path: str) -> list[ManifestRow]:

@@ -1,7 +1,7 @@
 """Size-bin stratification and the per-bin aggregation of lesion records."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,7 +82,6 @@ class SampleResult:
     records: list[LesionRecord]
     gt_lesions: int
     pred_lesions: int
-    trace: list[str] = field(default_factory=list)
 
 
 def _aggregate(values: list[float]) -> tuple[float | None, float | None]:

@@ -1,13 +1,11 @@
 """Synthetic mask pairs with known lesion correspondences.
 
-Used for IoU-threshold tuning, oracle suites, and constructed regression
-cases. Generation is a pure function of (params, seed); the PRNG is numpy's
-PCG64 as created by ``numpy.random.default_rng(seed)``.
+Used for the acceptance suite, constructed regression cases and the
+benchmark's inputs. Generation is a pure function of (params, seed); the
+PRNG is numpy's PCG64 as created by ``numpy.random.default_rng(seed)``.
 """
 from __future__ import annotations
 
-import json
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +13,6 @@ from scipy import ndimage
 
 from .components import find_connected_components
 from .errors import PlacementFailure
-from .matching import match_lesions
 from .volume import Volume
 
 # sampled voxel-count ranges per size bin (inclusive)
@@ -50,13 +47,6 @@ class SynthCase:
     pred: Volume
     truth_pairs: list[tuple[int, int]]  # (gt lesion id, pred lesion id)
     perturbation_log: list[str]
-
-
-@dataclass(frozen=True)
-class TauSweepResult:
-    taus: list[float]
-    f1_at_tau: list[float]
-    best_tau: float
 
 
 def _near(rng: np.random.Generator, side: float) -> int:
@@ -302,59 +292,3 @@ def generate_case(params: SynthParams, seed: int) -> SynthCase:
         truth_pairs.append((gid, pid))
     truth_pairs.sort()
     return SynthCase(seed, gt, pred, truth_pairs, log)
-
-
-def tau_sweep(cases: list[SynthCase], taus: list[float]) -> TauSweepResult:
-    """Micro-averaged matching F1 against the known truth pairs, per tau.
-
-    best_tau is the smallest swept tau attaining the maximum F1.
-    """
-    if not cases:
-        raise ValueError("need at least one case")
-    extracted = []
-    for c in cases:
-        gt_ls = find_connected_components(c.gt, 6)
-        pred_ls = find_connected_components(c.pred, 6)
-        extracted.append((gt_ls, pred_ls, set(c.truth_pairs)))
-    f1s = []
-    for tau in taus:
-        correct = produced = truth_total = 0
-        for gt_ls, pred_ls, truth in extracted:
-            m = match_lesions(gt_ls, pred_ls, tau)
-            got = {(g, p) for g, p, _ in m.matches}
-            correct += len(got & truth)
-            produced += len(got)
-            truth_total += len(truth)
-        denom = produced + truth_total
-        f1s.append(2 * correct / denom if denom else 1.0)
-    best = max(f1s)
-    best_tau = taus[f1s.index(best)]
-    return TauSweepResult(list(taus), f1s, best_tau)
-
-
-DEFAULT_SWEEP_GRID = [round(0.05 * k, 2) for k in range(1, 20)]
-
-
-def export_case(case: SynthCase, out_dir: str, name: str) -> dict[str, str]:
-    """Dump a case as JSON-fixture volumes plus a truth-pair sidecar."""
-    from .nifti import write_volume
-
-    os.makedirs(out_dir, exist_ok=True)
-    paths = {
-        "gt": os.path.join(out_dir, f"{name}_gt.json"),
-        "pred": os.path.join(out_dir, f"{name}_pred.json"),
-        "truth": os.path.join(out_dir, f"{name}_truth.json"),
-    }
-    write_volume(case.gt, paths["gt"])
-    write_volume(case.pred, paths["pred"])
-    with open(paths["truth"], "w") as f:
-        json.dump(
-            {
-                "seed": case.seed,
-                "truth_pairs": [list(p) for p in case.truth_pairs],
-                "perturbation_log": case.perturbation_log,
-            },
-            f,
-            indent=2,
-        )
-    return paths

@@ -16,10 +16,8 @@ from lesioneval.cli import main
 from lesioneval.components import find_connected_components
 from lesioneval.matching import generate_candidates, match_lesions
 from lesioneval.metrics import (
-    assd,
     compute_image_metrics,
     compute_lesion_metrics,
-    hd95,
     surface_distances,
 )
 from lesioneval.nifti import read_volume, write_volume
@@ -74,19 +72,22 @@ def test_criterion_03_distance_oracle_equivalence():
     done = 0
     while done < 200:
         dims = tuple(int(rng.integers(6, 12)) for _ in range(3))
-        a = np.argwhere(random_blob_mask(rng, dims, 0.3).data != 0)
-        b = np.argwhere(random_blob_mask(rng, dims, 0.3).data != 0)
-        if len(a) == 0 or len(b) == 0:
-            continue
-        sa = {tuple(v) for v in a}
-        sb = {tuple(v) for v in b}
-        if len(sa) > 500 or len(sb) > 500:
+        ma = random_blob_mask(rng, dims, 0.3)
+        mb = random_blob_mask(rng, dims, 0.3)
+        sa = {tuple(v) for v in np.argwhere(ma.data != 0).tolist()}
+        sb = {tuple(v) for v in np.argwhere(mb.data != 0).tolist()}
+        if not 0 < len(sa) <= 500 or not 0 < len(sb) <= 500:
             continue
         spacing = tuple(rng.uniform(0.5, 2.0, 3))
         o_pooled, o_maxdir, o_assd = brute_surface_distances(sa, sb, spacing)
-        assert abs(hd95(a, b, spacing, "pooled") - o_pooled) <= 1e-9
-        assert abs(hd95(a, b, spacing, "max-of-directed") - o_maxdir) <= 1e-9
-        assert abs(assd(a, b, spacing) - o_assd) <= 1e-9
+        # the path the reports take: labelled masks, one query per direction
+        la, lb = find_connected_components(ma), find_connected_components(mb)
+        dists = surface_distances(la, lb, spacing)
+        pooled = compute_image_metrics(la, lb, "pooled", dists)
+        maxdir = compute_image_metrics(la, lb, "max-of-directed", dists)
+        assert abs(pooled.voxel_hd95_mm - o_pooled) <= 1e-9
+        assert abs(maxdir.voxel_hd95_mm - o_maxdir) <= 1e-9
+        assert abs(pooled.assd_mm - o_assd) <= 1e-9
         done += 1
     _ok(3, "surface-distance oracle equivalence")
 

@@ -216,20 +216,6 @@ def test_inspect_scaled_float32_gzip(tmp_path, capsys):
     )
 
 
-def test_tune_tau_outputs(tmp_path):
-    out = tmp_path / "tune"
-    code = main(["tune-tau", "--seed", "1", "--cases", "4", "--out", str(out)])
-    assert code == 0
-    best = json.loads((out / "best_tau.json").read_text())
-    assert 0 <= best["best_tau"] < 1
-    rows = list(csv.DictReader((out / "tau_sweep.csv").read_text().splitlines()))
-    assert len(rows) == 19  # default 0.05..0.95 grid
-    # deterministic given seed
-    out2 = tmp_path / "tune2"
-    main(["tune-tau", "--seed", "1", "--cases", "4", "--out", str(out2)])
-    assert (out / "tau_sweep.csv").read_bytes() == (out2 / "tau_sweep.csv").read_bytes()
-
-
 def test_provenance_in_reports(tmp_path):
     rng = np.random.default_rng(7)
     g, p = _make_pair(tmp_path, "a", rng)
@@ -430,3 +416,15 @@ def test_non_finite_threshold_rejected(tmp_path, capsys, threshold):
     assert "bad config" in capsys.readouterr().err
     with pytest.raises(ValueError, match="finite"):
         RunConfig(binarize_threshold=float(threshold))
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("tau", 1.5), ("connectivity", 4), ("distance_units", "cm"),
+     ("hd95_variant", "mean"), ("binarize_threshold", float("nan")), ("parallelism", 0)],
+)
+def test_run_config_errors_name_the_bad_value(field, value):
+    # the message is all `bad config` prints, so it must show what was wrong
+    with pytest.raises(ValueError) as e:
+        RunConfig(**{field: value})
+    assert repr(value) in str(e.value)

@@ -102,6 +102,35 @@ def test_read_foreground_json_fixture(tmp_path, t):
     assert fg.dims == (2, 3, 4) and fg.spacing == (1.5, 1.0, 3.0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64, np.int16])
+def test_json_fixture_keeps_its_values(tmp_path, dtype):
+    # a JSON fixture once read back through a uint8 cast: 0.7 became 0, 2.9
+    # became 2 and -1 became 255, so its foreground differed from the NIfTI one
+    rng = np.random.default_rng(14)
+    data = np.round(rng.normal(0.4, 1.5, (5, 4, 3)), 1).astype(dtype)
+    data[0, 0, 0], data[1, 0, 0] = 0.7, 2.9
+    v = Volume(data, (0.5, 1.0, 2.0))
+    write_volume(v, str(tmp_path / "m.json"))
+    write_volume(v, str(tmp_path / "m.nii"))
+    for t in [*THRESHOLDS, 0.0, 2.5]:
+        from_json = read_foreground(str(tmp_path / "m.json"), t)
+        from_nifti = read_foreground(str(tmp_path / "m.nii"), t)
+        assert np.array_equal(from_json.index, from_nifti.index), (dtype, t)
+        assert from_json.dims == from_nifti.dims
+        assert from_json.spacing == from_nifti.spacing
+    assert np.array_equal(read_volume(str(tmp_path / "m.json")).data, data)
+
+
+def test_json_fixture_nan_voxels_rejected(tmp_path):
+    # json writes NaN as a bare NaN token; it must fail as NaN, not as bad JSON
+    data = np.zeros((2, 2, 2), np.float32)
+    data[1, 1, 1] = np.nan
+    p = tmp_path / "m.json"
+    write_volume(Volume(data, (1, 1, 1)), str(p))
+    with pytest.raises(NanVoxels):
+        read_foreground(str(p))
+
+
 @pytest.mark.parametrize("container", ["nii", "nii.gz"])
 def test_nan_voxels_rejected_by_both_thresholdings(tmp_path, container):
     # NaN > t is False, so a NaN lesion used to become background silently

@@ -191,9 +191,3 @@ def test_greedy_dominance_replay(rng):
         else:
             assert c.gt_id in used_g or c.pred_id in used_p
     assert used_g == {g for g, _, _ in matches}
-
-
-def test_trace_output():
-    gt = _extract(SQUARE)
-    m = match_lesions(gt, gt, 0.35, with_trace=True)
-    assert m.trace == ["G1 P1 iou=1.000000 accepted"]

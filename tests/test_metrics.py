@@ -11,18 +11,14 @@ from scipy.spatial import cKDTree
 import lesioneval.metrics
 from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask
 from lesioneval.components import find_connected_components
-from lesioneval.errors import EmptySet
 from lesioneval.matching import match_lesions
 from lesioneval.metrics import (
     _hd95_one,
     _p95,
-    assd,
     compute_image_metrics,
     compute_instance_metrics,
     compute_lesion_metrics,
-    hd95,
     surface_distances,
-    surface_voxels,
 )
 from lesioneval.pipeline import RunConfig, evaluate_pair
 from lesioneval.volume import Foreground, Volume
@@ -30,10 +26,6 @@ from oracles import brute_surface, brute_surface_distances, whole_grid_image_met
 
 SQUARE = {(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)}
 SQUARE_SHIFTED = {(1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0)}
-
-
-def _arr(voxels):
-    return np.array(sorted(voxels), dtype=int)
 
 
 def _lesions(voxels, dims=(12, 12, 12)):
@@ -91,46 +83,45 @@ def test_dice_symmetry(rng):
             assert (ab.dice, ab.iou, ab.hd95_mm) == (ba.dice, ba.iou, ba.hd95_mm)
 
 
+def _surface(voxels, dims=(12, 12, 12)):
+    """The labeller's surface voxels of a mask, as sorted (x, y, z) tuples."""
+    ls = _lesions(voxels, dims)
+    return sorted(map(tuple, ls.coords(np.flatnonzero(ls.surface)).tolist()))
+
+
+def _hd95_assd(a, b, spacing, variant="pooled", dims=(12, 12, 12)):
+    """Image (HD95, ASSD) of two voxel sets on one grid, at ``spacing``."""
+    im = _image_metrics(
+        mask_from_voxels(a, dims), mask_from_voxels(b, dims), variant=variant,
+        spacing=spacing,
+    )
+    return im.voxel_hd95_mm, im.assd_mm
+
+
 def test_surface_single_voxel():
-    s = surface_voxels(np.array([[2, 2, 2]]))
-    assert s.tolist() == [[2, 2, 2]]
+    assert _surface([(2, 2, 2)]) == [(2, 2, 2)]
 
 
 def test_surface_cube_shell():
     cube = [(x, y, z) for x in range(1, 4) for y in range(1, 4) for z in range(1, 4)]
-    s = surface_voxels(_arr(cube))
+    s = _surface(cube)
     assert len(s) == 26
-    assert (2, 2, 2) not in set(map(tuple, s))
+    assert (2, 2, 2) not in s
 
 
 def test_surface_rod_all_voxels():
     rod = [(0, 0, z) for z in range(5)]
-    s = surface_voxels(_arr(rod))
-    assert sorted(map(tuple, s)) == sorted(rod)
-
-
-def test_surface_empty_raises():
-    with pytest.raises(EmptySet):
-        surface_voxels(np.empty((0, 3), dtype=int))
+    assert _surface(rod) == sorted(rod)
 
 
 def test_hd95_identity():
-    a = _arr(SQUARE)
-    assert hd95(a, a, (1, 1, 1)) == 0.0
-    assert assd(a, a, (1, 1, 1)) == 0.0
+    assert _hd95_assd(SQUARE, SQUARE, (1, 1, 1)) == (0.0, 0.0)
 
 
 def test_hd95_two_voxels():
-    a = np.array([[0, 0, 0]])
-    b = np.array([[3, 0, 0]])
-    assert hd95(a, b, (1, 1, 1)) == pytest.approx(3.0)
-    assert hd95(a, b, (2, 1, 1)) == pytest.approx(6.0)
-    assert assd(a, b, (1, 1, 1)) == pytest.approx(3.0)
-
-
-def test_hd95_empty_raises():
-    with pytest.raises(EmptySet):
-        hd95(np.array([[0, 0, 0]]), np.empty((0, 3), dtype=int), (1, 1, 1))
+    a, b = [(0, 0, 0)], [(3, 0, 0)]
+    assert _hd95_assd(a, b, (1, 1, 1)) == (pytest.approx(3.0), pytest.approx(3.0))
+    assert _hd95_assd(a, b, (2, 1, 1))[0] == pytest.approx(6.0)
 
 
 def test_distance_symmetry_and_oracle(rng):
@@ -139,25 +130,24 @@ def test_distance_symmetry_and_oracle(rng):
         b = _blob_voxels(rng, (9, 9, 9), 0.25)
         spacing = tuple(rng.uniform(0.5, 2.0, 3))
         for variant in ("pooled", "max-of-directed"):
-            assert hd95(a, b, spacing, variant) == pytest.approx(
-                hd95(b, a, spacing, variant), abs=1e-12
+            assert _hd95_assd(a, b, spacing, variant) == pytest.approx(
+                _hd95_assd(b, a, spacing, variant), abs=1e-12
             )
         o_pooled, o_maxdir, o_assd = brute_surface_distances(
             {tuple(v) for v in a}, {tuple(v) for v in b}, spacing
         )
-        assert hd95(a, b, spacing, "pooled") == pytest.approx(o_pooled, abs=1e-9)
-        assert hd95(a, b, spacing, "max-of-directed") == pytest.approx(
-            o_maxdir, abs=1e-9
-        )
-        assert assd(a, b, spacing) == pytest.approx(o_assd, abs=1e-9)
+        hd, mean = _hd95_assd(a, b, spacing, "pooled")
+        assert hd == pytest.approx(o_pooled, abs=1e-9)
+        assert mean == pytest.approx(o_assd, abs=1e-9)
+        hd, _ = _hd95_assd(a, b, spacing, "max-of-directed")
+        assert hd == pytest.approx(o_maxdir, abs=1e-9)
 
 
 def test_surface_matches_brute(rng):
     for _ in range(5):
         vox = _blob_voxels(rng, (10, 10, 10), 0.3)
-        got = sorted(map(tuple, surface_voxels(vox)))
         want = sorted(brute_surface({tuple(v) for v in vox}))
-        assert got == want
+        assert _surface(vox, (10, 10, 10)) == want
 
 
 def test_translation_covariance(rng):
@@ -165,20 +155,19 @@ def test_translation_covariance(rng):
     b = _blob_voxels(rng, (8, 8, 8), 0.3)
     off = np.array([5, 7, 3])
     sp = (1.0, 1.3, 0.8)
-    assert hd95(a, b, sp) == pytest.approx(hd95(a + off, b + off, sp), abs=1e-12)
-    assert assd(a, b, sp) == pytest.approx(assd(a + off, b + off, sp), abs=1e-12)
+    assert _hd95_assd(a, b, sp, dims=(16, 16, 16)) == pytest.approx(
+        _hd95_assd(a + off, b + off, sp, dims=(16, 16, 16)), abs=1e-12
+    )
 
 
 def test_spacing_scaling(rng):
     a = _blob_voxels(rng, (8, 8, 8), 0.3)
     b = _blob_voxels(rng, (8, 8, 8), 0.3)
     base = np.array([1.0, 1.3, 0.8])
+    hd, mean = _hd95_assd(a, b, tuple(base))
     for s in (2.0, 0.25):
-        assert hd95(a, b, tuple(base * s)) == pytest.approx(
-            s * hd95(a, b, tuple(base)), rel=1e-12
-        )
-        assert assd(a, b, tuple(base * s)) == pytest.approx(
-            s * assd(a, b, tuple(base)), rel=1e-12
+        assert _hd95_assd(a, b, tuple(base * s)) == pytest.approx(
+            (s * hd, s * mean), rel=1e-12
         )
 
 
@@ -230,7 +219,7 @@ def test_instance_metrics_from_matchset():
     )
     pred = find_connected_components(mask_from_voxels(SQUARE, (8, 8, 2)))
     m = match_lesions(gt, pred, 0.35)
-    counts = compute_instance_metrics(gt, pred, m)
+    counts = compute_instance_metrics(m)
     assert (counts.tp, counts.fp, counts.fn) == (1, 0, 1)
     assert counts.precision == 1.0 and counts.recall == 0.5
 
@@ -259,7 +248,7 @@ def test_image_metrics_divergence_case():
     gt_ls = find_connected_components(gt)
     pred_ls = find_connected_components(pred)
     m = match_lesions(gt_ls, pred_ls, 0.35)
-    counts = compute_instance_metrics(gt_ls, pred_ls, m)
+    counts = compute_instance_metrics(m)
     assert counts.recall == pytest.approx(1 / 6)
 
 

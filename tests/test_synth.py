@@ -1,18 +1,13 @@
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from lesioneval.components import find_connected_components
 from lesioneval.errors import PlacementFailure
-from lesioneval.nifti import read_volume
 from lesioneval.synth import (
     BIN_SIZE_RANGES,
     SynthParams,
     _morph,
-    export_case,
     generate_case,
-    tau_sweep,
 )
 from oracles import whole_grid_morph
 
@@ -112,49 +107,6 @@ def test_spurious_and_merge_logged():
     assert any("merge" in line for line in c.perturbation_log)
     # merged pair keeps one truth pair; spurious blobs add none
     assert len(c.truth_pairs) == 3
-
-
-def test_tau_sweep_perfect_cases():
-    params = SynthParams(counts={"Small": 3}, kinds=("none",))
-    cases = [generate_case(params, s) for s in range(3)]
-    taus = [0.1, 0.35, 0.6, 0.9]
-    res = tau_sweep(cases, taus)
-    assert res.f1_at_tau == [1.0, 1.0, 1.0, 1.0]
-    assert res.best_tau == 0.1  # smallest tau attaining the max
-
-
-def test_tau_sweep_iou_third_transition():
-    # single true pair with IoU exactly 1/3: F1 drops to 0 at tau >= 1/3
-    from conftest import mask_from_voxels
-    from lesioneval.synth import SynthCase
-
-    gt = mask_from_voxels([(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 1, 0)], (6, 6, 1))
-    pred = mask_from_voxels([(1, 0, 0), (1, 1, 0), (2, 0, 0), (2, 1, 0)], (6, 6, 1))
-    case = SynthCase(0, gt, pred, [(1, 1)], [])
-    res = tau_sweep([case], [0.30, 1 / 3, 0.35])
-    assert res.f1_at_tau == [1.0, 0.0, 0.0]
-    assert res.best_tau == 0.30
-
-
-def test_sweep_sanity_past_max_iou():
-    params = SynthParams(
-        counts={"Small": 4}, kinds=("shift",), shift_max=2, dims=(100, 100, 1)
-    )
-    cases = [generate_case(params, s) for s in range(5)]
-    res = tau_sweep(cases, [0.05, 0.2, 0.5, 0.8, 0.95])
-    assert res.f1_at_tau == sorted(res.f1_at_tau, reverse=True)
-
-
-def test_export_case_roundtrip(tmp_path):
-    params = SynthParams(counts={"Small": 2}, kinds=("none",))
-    c = generate_case(params, 42)
-    paths = export_case(c, str(tmp_path), "case42")
-    assert read_volume(paths["gt"]) == c.gt
-    assert read_volume(paths["pred"]) == c.pred
-    import json
-
-    side = json.loads(Path(paths["truth"]).read_text())
-    assert [tuple(p) for p in side["truth_pairs"]] == c.truth_pairs
 
 
 def test_bin_size_ranges_align_with_bins():
