@@ -9,11 +9,12 @@ from .components import (  # noqa: E402,F401
     find_connected_components,
 )
 from .matching import (  # noqa: E402,F401
-    CandidatePair,
     MatchSet,
+    Overlap,
     generate_candidates,
     greedy_match,
     match_lesions,
+    overlap,
 )
 from .metrics import (  # noqa: E402,F401
     DetectionCounts,

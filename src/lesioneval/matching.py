@@ -11,24 +11,25 @@ DEFAULT_TAU = 0.35
 
 
 @dataclass(frozen=True)
-class CandidatePair:
-    gt_id: int
-    pred_id: int
-    iou: float
-
-
-@dataclass(frozen=True)
 class MatchSet:
     """One-to-one correspondence plus unmatched residues."""
 
     matches: list[tuple[int, int, float]]  # (gt_id, pred_id, iou), acceptance order
     unmatched_gt: list[int]  # false negatives
     unmatched_pred: list[int]  # false positives
-    tau: float
+
+
+@dataclass(frozen=True)
+class Overlap:
+    """Each GT/predicted lesion pair that shares voxels, by (gt_id, pred_id)."""
+
+    gt_id: np.ndarray
+    pred_id: np.ndarray
+    inter: np.ndarray  # voxels the pair shares; the sum is those the masks share
 
 
 def iou_counts(inter: int, na: int, nb: int) -> float:
-    """IoU of two non-empty voxel sets from their sizes and overlap."""
+    """IoU of two non-empty voxel sets from their sizes and overlap; elementwise on arrays."""
     return inter / (na + nb - inter)
 
 
@@ -41,57 +42,52 @@ def intersect_sorted(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return ia, at[ia]
 
 
-def generate_candidates(
-    gt: LesionSet, pred: LesionSet, tau: float = DEFAULT_TAU
-) -> list[CandidatePair]:
-    """All overlapping pairs with IoU strictly above tau, by (gt_id, pred_id).
-
-    One intersection of the two sorted foregrounds gives the voxels the
-    masks share; one joint count of their label pairs gives every
-    pairwise intersection at once.
-    """
+def overlap(gt: LesionSet, pred: LesionSet) -> Overlap:
+    """Every overlapping pair, below tau too: one intersection, one joint count."""
     gi, pi = intersect_sorted(gt.index, pred.index)
     stride = len(pred.lesions) + 1
-    keys, counts = np.unique(
-        gt.label[gi].astype(np.int64) * stride + pred.label[pi], return_counts=True
-    )
-    out: list[CandidatePair] = []
-    for key, inter in zip(keys.tolist(), counts.tolist()):
-        gid, pid = divmod(key, stride)
-        iou = iou_counts(inter, gt.by_id(gid).volume_vox, pred.by_id(pid).volume_vox)
-        if iou > tau:
-            out.append(CandidatePair(gid, pid, iou))
-    return out
+    key = gt.label[gi].astype(np.int64) * stride + pred.label[pi]
+    keys, inter = np.unique(key, return_counts=True)
+    return Overlap(keys // stride, keys % stride, inter)
 
 
-def greedy_match(candidates: list[CandidatePair]) -> list[tuple[int, int, float]]:
+def generate_candidates(
+    gt: LesionSet, pred: LesionSet, ov: Overlap, tau: float = DEFAULT_TAU
+) -> list[tuple[int, int, float]]:
+    """``(gt_id, pred_id, iou)`` of each pair in ``ov`` with IoU strictly above tau."""
+    na, nb = np.diff(gt.starts)[ov.gt_id - 1], np.diff(pred.starts)[ov.pred_id - 1]
+    iou = iou_counts(ov.inter, na, nb)
+    keep = iou > tau
+    return list(zip(ov.gt_id[keep].tolist(), ov.pred_id[keep].tolist(), iou[keep].tolist()))
+
+
+def greedy_match(candidates: list[tuple[int, int, float]]) -> list[tuple[int, int, float]]:
     """Accept candidates in descending IoU order while both endpoints are free.
 
     Ties broken by (gt_id, pred_id) for platform-independent determinism.
     """
-    ordered = sorted(candidates, key=lambda c: (-c.iou, c.gt_id, c.pred_id))
     used_gt: set[int] = set()
     used_pred: set[int] = set()
     matches: list[tuple[int, int, float]] = []
-    for c in ordered:
-        if c.gt_id not in used_gt and c.pred_id not in used_pred:
-            used_gt.add(c.gt_id)
-            used_pred.add(c.pred_id)
-            matches.append((c.gt_id, c.pred_id, c.iou))
+    for g, p, iou in sorted(candidates, key=lambda c: (-c[2], c[0], c[1])):
+        if g not in used_gt and p not in used_pred:
+            used_gt.add(g)
+            used_pred.add(p)
+            matches.append((g, p, iou))
     return matches
 
 
-def match_lesions(gt: LesionSet, pred: LesionSet, tau: float = DEFAULT_TAU) -> MatchSet:
-    """Full matching: candidates, greedy resolution, FP/FN residues."""
+def match_lesions(
+    gt: LesionSet, pred: LesionSet, ov: Overlap, tau: float = DEFAULT_TAU
+) -> MatchSet:
+    """Full matching: candidates from ``ov``, greedy resolution, FP/FN residues."""
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"tau must be in [0, 1), got {tau}")
-    candidates = generate_candidates(gt, pred, tau)
-    matches = greedy_match(candidates)
+    matches = greedy_match(generate_candidates(gt, pred, ov, tau))
     matched_gt = {m[0] for m in matches}
     matched_pred = {m[1] for m in matches}
     return MatchSet(
         matches=matches,
         unmatched_gt=[l.id for l in gt.lesions if l.id not in matched_gt],
         unmatched_pred=[l.id for l in pred.lesions if l.id not in matched_pred],
-        tau=tau,
     )

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .components import LesionSet
-from .matching import MatchSet, intersect_sorted, iou_counts
+from .matching import MatchSet, Overlap, intersect_sorted, iou_counts
 
 
 @dataclass(frozen=True)
@@ -249,6 +249,7 @@ def _partner_distances(
 def compute_lesion_metrics(
     gt: LesionSet,
     pred: LesionSet,
+    ov: Overlap,
     matches: list[tuple[int, int, float]],
     distances: SurfaceDistances,
     hd95_variant: str = "pooled",
@@ -256,22 +257,26 @@ def compute_lesion_metrics(
     """All per-pair metrics of a sample's matched GT/prediction lesion pairs.
 
     Returns one ``LesionPairMetrics`` per ``(gt_id, pred_id, iou)`` of
-    ``matches``, in ``gt_id`` order. Every overlap comes from one
-    intersection of the two foregrounds, the surface distances from
+    ``matches``, in ``gt_id`` order. Each overlap is looked up in ``ov``
+    (0 for a pair not in it), the surface distances come from
     ``distances`` (see ``surface_distances``), and every HD95 from one
-    grouped percentile.
+    grouped percentile. Raises ``ValueError`` unless ``matches`` is
+    one-to-one between existing lesions.
     """
     ids = sorted((g, p) for g, p, _ in matches)
     g_ids, p_ids = np.array(ids, np.intp).reshape(-1, 2).T
     n = len(ids)
+    for name, i, ls in (("gt_id", g_ids, gt), ("pred_id", p_ids, pred)):
+        if np.unique(i).size < n or np.any((i < 1) | (i > len(ls))):
+            raise ValueError(f"each {name} must be in 1..{len(ls)} and matched once")
     g_pair = np.full(len(gt) + 1, -1, np.intp)
     g_pair[g_ids] = np.arange(n)
     p_pair = np.full(len(pred) + 1, -1, np.intp)
     p_pair[p_ids] = np.arange(n)
 
-    gi, pi = intersect_sorted(gt.index, pred.index)
-    k = g_pair[gt.label[gi]]
-    inter = np.bincount(k[(k >= 0) & (p_pair[pred.label[pi]] == k)], minlength=n)
+    k = g_pair[ov.gt_id]
+    hit = (k >= 0) & (p_pair[ov.pred_id] == k)
+    inter = np.bincount(k[hit], ov.inter[hit], minlength=n).astype(np.int64)
 
     sp = distances.spacing
     hd = _hd95(
@@ -325,11 +330,11 @@ def _c_ordered(ls: LesionSet, ns: NearestSurface) -> np.ndarray:
 
 
 def compute_image_metrics(
-    gt: LesionSet, pred: LesionSet, hd95_variant: str, distances: SurfaceDistances
+    gt: LesionSet, pred: LesionSet, ov: Overlap, hd95_variant: str, distances: SurfaceDistances
 ) -> ImageMetrics:
     """Voxel-wise Dice plus whole-foreground HD95 and ASSD of two masks.
 
-    Works from the two foregrounds alone, never scanning the grid. The
+    Works from the two foregrounds and their overlap table alone. The
     labeller's surface flags are those of whole-mask erosion, and the
     distances from ``distances`` are put in C order of their voxels, so
     they and their sums match the whole-grid computation bit for bit.
@@ -338,8 +343,7 @@ def compute_image_metrics(
     when both are empty.
     """
     n_g, n_p = gt.index.size, pred.index.size
-    inter = intersect_sorted(gt.index, pred.index)[0].size
-    voxel_dice = _dice_counts(inter, n_g, n_p)
+    voxel_dice = _dice_counts(int(ov.inter.sum()), n_g, n_p)
     voxel_hd95 = assd_mm = None
     if n_g > 0 and n_p > 0:
         d_gp = _c_ordered(gt, distances.gt)

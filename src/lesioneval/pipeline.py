@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .components import find_connected_components
 from .errors import ManifestParseError
-from .matching import DEFAULT_TAU, match_lesions
+from .matching import DEFAULT_TAU, match_lesions, overlap
 from .metrics import (
     compute_image_metrics,
     compute_instance_metrics,
@@ -113,13 +113,14 @@ def _evaluate(
 
     gt_ls = find_connected_components(gt, config.connectivity)
     pred_ls = find_connected_components(pred, config.connectivity)
-    match = match_lesions(gt_ls, pred_ls, config.tau)
+    ov = overlap(gt_ls, pred_ls)
+    match = match_lesions(gt_ls, pred_ls, ov, config.tau)
     dists = surface_distances(gt_ls, pred_ls, spacing)
     pairs = compute_lesion_metrics(
-        gt_ls, pred_ls, match.matches, dists, config.hd95_variant
+        gt_ls, pred_ls, ov, match.matches, dists, config.hd95_variant
     )
     detection = compute_instance_metrics(match)
-    image = compute_image_metrics(gt_ls, pred_ls, config.hd95_variant, dists)
+    image = compute_image_metrics(gt_ls, pred_ls, ov, config.hd95_variant, dists)
     per_bin, records = stratify(gt_ls, pred_ls, match, pairs)
     return SampleResult(
         sample_id=sample_id,

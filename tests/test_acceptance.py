@@ -14,7 +14,7 @@ import pytest
 from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask
 from lesioneval.cli import main
 from lesioneval.components import find_connected_components
-from lesioneval.matching import generate_candidates, match_lesions
+from lesioneval.matching import generate_candidates, match_lesions, overlap
 from lesioneval.metrics import (
     compute_image_metrics,
     compute_lesion_metrics,
@@ -44,7 +44,7 @@ def test_criterion_01_matching_oracle_equivalence():
         gsets = lesion_voxel_sets(gt)
         psets = lesion_voxel_sets(pred)
         for tau in (0.1, 0.35, 0.6):
-            m = match_lesions(gt, pred, tau)
+            m = match_lesions(gt, pred, overlap(gt, pred), tau)
             om, ofn, ofp = naive_match(gsets, psets, tau)
             assert m.matches == om  # (gt_id, pred_id, iou) triples, IoU exact
             assert m.unmatched_gt == ofn
@@ -83,8 +83,9 @@ def test_criterion_03_distance_oracle_equivalence():
         # the path the reports take: labelled masks, one query per direction
         la, lb = find_connected_components(ma), find_connected_components(mb)
         dists = surface_distances(la, lb, spacing)
-        pooled = compute_image_metrics(la, lb, "pooled", dists)
-        maxdir = compute_image_metrics(la, lb, "max-of-directed", dists)
+        ov = overlap(la, lb)
+        pooled = compute_image_metrics(la, lb, ov, "pooled", dists)
+        maxdir = compute_image_metrics(la, lb, ov, "max-of-directed", dists)
         assert abs(pooled.voxel_hd95_mm - o_pooled) <= 1e-9
         assert abs(maxdir.voxel_hd95_mm - o_maxdir) <= 1e-9
         assert abs(pooled.assd_mm - o_assd) <= 1e-9
@@ -101,8 +102,9 @@ def test_criterion_04_dice_iou_identity():
         gsets = lesion_voxel_sets(gt)
         psets = lesion_voxel_sets(pred)
         dists = surface_distances(gt, pred, (1, 1, 1))
-        matches = match_lesions(gt, pred, 0.1).matches
-        for m in compute_lesion_metrics(gt, pred, matches, dists):
+        ov = overlap(gt, pred)
+        matches = match_lesions(gt, pred, ov, 0.1).matches
+        for m in compute_lesion_metrics(gt, pred, ov, matches, dists):
             g, p = m.gt_id, m.pred_id
             assert abs(m.dice - 2 * m.iou / (1 + m.iou)) < 1e-12
             a, b = gsets[g - 1], psets[p - 1]
@@ -149,7 +151,7 @@ def test_criterion_07_aggregate_vs_lesionwise_divergence():
 
     gt_ls, pred_ls = find_connected_components(gt), find_connected_components(pred)
     dists = surface_distances(gt_ls, pred_ls, (1, 1, 1))
-    im = compute_image_metrics(gt_ls, pred_ls, "pooled", dists)
+    im = compute_image_metrics(gt_ls, pred_ls, overlap(gt_ls, pred_ls), "pooled", dists)
     assert 0.975 <= im.voxel_dice <= 0.976
     assert im.voxel_dice == 2000 / 2050
     s = evaluate_pair("div", gt, pred, RunConfig())
@@ -163,9 +165,9 @@ def test_criterion_08_tau_threshold_semantics():
     shifted = [(x + 1, y, z) for x, y, z in square]
     gt = find_connected_components(mask_from_voxels(square, (6, 6, 2)))
     pred = find_connected_components(mask_from_voxels(shifted, (6, 6, 2)))
-    assert generate_candidates(gt, pred, tau=0.35) == []
-    assert match_lesions(gt, pred, 0.35).matches == []
-    m = match_lesions(gt, pred, 0.30)
+    assert generate_candidates(gt, pred, overlap(gt, pred), tau=0.35) == []
+    assert match_lesions(gt, pred, overlap(gt, pred), 0.35).matches == []
+    m = match_lesions(gt, pred, overlap(gt, pred), 0.30)
     assert len(m.matches) == 1 and m.matches[0][2] == pytest.approx(1 / 3)
     _ok(8, "strict IoU > tau semantics")
 

@@ -4,11 +4,11 @@ import pytest
 from conftest import lesion_boxes, lesion_voxel_sets, mask_from_voxels, random_blob_mask
 from lesioneval.components import find_connected_components
 from lesioneval.matching import (
-    CandidatePair,
     generate_candidates,
     greedy_match,
     intersect_sorted,
     match_lesions,
+    overlap,
 )
 from oracles import iou_table, naive_match
 
@@ -30,11 +30,13 @@ def test_intersect_sorted_equals_numpy(rng):
 
 def test_candidate_iou_hand_cases():
     g = _extract(SQUARE)
-    assert generate_candidates(g, g, tau=0.0) == [CandidatePair(1, 1, 1.0)]
-    (c,) = generate_candidates(g, _extract(SQUARE_SHIFTED), tau=0.0)
-    assert (c.gt_id, c.pred_id) == (1, 1) and c.iou == pytest.approx(1 / 3)
+    assert generate_candidates(g, g, overlap(g, g), tau=0.0) == [(1, 1, 1.0)]
+    p = _extract(SQUARE_SHIFTED)
+    ((gid, pid, iou),) = generate_candidates(g, p, overlap(g, p), tau=0.0)
+    assert (gid, pid) == (1, 1) and iou == pytest.approx(1 / 3)
     # disjoint lesions have IoU 0, which is never above tau
-    assert generate_candidates(g, _extract([(5, 5, 0)]), tau=0.0) == []
+    p = _extract([(5, 5, 0)])
+    assert generate_candidates(g, p, overlap(g, p), tau=0.0) == []
 
 
 def test_candidates_count_only_the_lesion_inside_its_box():
@@ -58,7 +60,7 @@ def test_candidates_count_only_the_lesion_inside_its_box():
     table = iou_table(lesion_voxel_sets(gt), lesion_voxel_sets(pred), 0.0)
     assert [(g, p) for g, p, _ in table] == [(1, 1), (1, 3), (2, 4)]
     for tau in (0.0, 0.1, 0.3):
-        got = [(c.gt_id, c.pred_id, c.iou) for c in generate_candidates(gt, pred, tau)]
+        got = generate_candidates(gt, pred, overlap(gt, pred), tau)
         assert got == iou_table(lesion_voxel_sets(gt), lesion_voxel_sets(pred), tau)
 
 
@@ -66,23 +68,53 @@ def test_candidates_equal_full_iou_table(rng):
     for _ in range(20):
         gt = find_connected_components(random_blob_mask(rng, (14, 14, 14), 0.3), 26)
         pred = find_connected_components(random_blob_mask(rng, (14, 14, 14), 0.3), 26)
-        got = [(c.gt_id, c.pred_id, c.iou) for c in generate_candidates(gt, pred, 0.0)]
+        got = generate_candidates(gt, pred, overlap(gt, pred), 0.0)
         assert got == iou_table(lesion_voxel_sets(gt), lesion_voxel_sets(pred), 0.0)
+
+
+def _brute_overlap(gt, pred):
+    """Every (gt_id, pred_id, shared voxels) with a shared voxel, from voxel sets."""
+    gs, ps = lesion_voxel_sets(gt), lesion_voxel_sets(pred)
+    return [
+        (g, p, len(a & b)) for g, a in enumerate(gs, 1) for p, b in enumerate(ps, 1) if a & b
+    ]
+
+
+def test_overlap_equals_brute_force_table(rng):
+    # every pair that shares a voxel, the ones below tau too, with its count
+    dims, below_tau = (14, 14, 14), 0
+    empty = _extract([], dims)
+    for trial in range(24):
+        connectivity = (6, 18, 26)[trial % 3]
+        gt, pred = (
+            find_connected_components(
+                random_blob_mask(rng, dims, rng.uniform(0.1, 0.4)), connectivity
+            )
+            for _ in range(2)
+        )
+        for a, b in ((gt, pred), (gt, empty), (empty, pred), (empty, empty)):
+            ov = overlap(a, b)
+            table = list(zip(ov.gt_id.tolist(), ov.pred_id.tolist(), ov.inter.tolist()))
+            assert table == _brute_overlap(a, b)
+            shared = set().union(*lesion_voxel_sets(a)) & set().union(*lesion_voxel_sets(b))
+            assert ov.inter.sum() == len(shared)
+            below_tau += len(table) - len(generate_candidates(a, b, ov, 0.35))
+    assert below_tau > 0
 
 
 def test_generate_candidates_threshold_strict():
     gt = _extract(SQUARE)
     pred = _extract(SQUARE_SHIFTED)
-    assert generate_candidates(gt, pred, tau=0.35) == []
-    cands = generate_candidates(gt, pred, tau=0.30)
+    assert generate_candidates(gt, pred, overlap(gt, pred), tau=0.35) == []
+    cands = generate_candidates(gt, pred, overlap(gt, pred), tau=0.30)
     assert len(cands) == 1
-    assert cands[0].iou == pytest.approx(1 / 3)
+    assert cands[0][2] == pytest.approx(1 / 3)
 
 
 def test_generate_candidates_empty_pred():
     gt = _extract(SQUARE)
     pred = _extract([])
-    assert generate_candidates(gt, pred, 0.1) == []
+    assert generate_candidates(gt, pred, overlap(gt, pred), 0.1) == []
 
 
 def test_one_gt_two_pred_candidates():
@@ -91,34 +123,30 @@ def test_one_gt_two_pred_candidates():
     pred = _extract(
         [(0, 0, 0), (1, 0, 0), (2, 0, 0), (4, 0, 0), (5, 0, 0)], dims=(8, 4, 2)
     )
-    cands = generate_candidates(gt, pred, tau=0.2)
+    cands = generate_candidates(gt, pred, overlap(gt, pred), tau=0.2)
     assert len(cands) == 2  # multiplicity allowed before matching
 
 
 def test_greedy_locking():
-    cands = [
-        CandidatePair(1, 1, 0.6),
-        CandidatePair(2, 1, 0.5),
-        CandidatePair(2, 2, 0.4),
-    ]
+    cands = [(1, 1, 0.6), (2, 1, 0.5), (2, 2, 0.4)]
     matches = greedy_match(cands)
     assert [(g, p) for g, p, _ in matches] == [(1, 1), (2, 2)]
 
 
 def test_greedy_single_candidate():
-    assert greedy_match([CandidatePair(1, 1, 0.5)]) == [(1, 1, 0.5)]
+    assert greedy_match([(1, 1, 0.5)]) == [(1, 1, 0.5)]
 
 
 def test_greedy_tie_break():
     # equal IoU: sort key (-iou, gt_id, pred_id) picks the lower pred id
-    matches = greedy_match([CandidatePair(1, 2, 0.5), CandidatePair(1, 1, 0.5)])
+    matches = greedy_match([(1, 2, 0.5), (1, 1, 0.5)])
     assert matches == [(1, 1, 0.5)]
 
 
 def test_match_identity():
     v = random_blob_mask(np.random.default_rng(1), (16, 16, 16), 0.2)
     ls = find_connected_components(v)
-    m = match_lesions(ls, ls, 0.35)
+    m = match_lesions(ls, ls, overlap(ls, ls), 0.35)
     assert len(m.matches) == len(ls)
     assert all(iou == 1.0 for _, _, iou in m.matches)
     assert m.unmatched_gt == [] and m.unmatched_pred == []
@@ -127,7 +155,7 @@ def test_match_identity():
 def test_match_empty_pred():
     gt = _extract(SQUARE + [(5, 5, 0)])
     pred = _extract([])
-    m = match_lesions(gt, pred, 0.35)
+    m = match_lesions(gt, pred, overlap(gt, pred), 0.35)
     assert m.matches == []
     assert m.unmatched_gt == [1, 2]
     assert m.unmatched_pred == []
@@ -136,7 +164,7 @@ def test_match_empty_pred():
 def test_match_empty_gt_all_fp():
     gt = _extract([])
     pred = _extract(SQUARE + [(5, 5, 0)])
-    m = match_lesions(gt, pred, 0.35)
+    m = match_lesions(gt, pred, overlap(gt, pred), 0.35)
     assert m.matches == [] and m.unmatched_gt == []
     assert m.unmatched_pred == [1, 2]
 
@@ -145,7 +173,7 @@ def test_conservation_and_one_to_one(rng):
     for _ in range(20):
         gt = find_connected_components(random_blob_mask(rng, (16, 16, 16), 0.2))
         pred = find_connected_components(random_blob_mask(rng, (16, 16, 16), 0.2))
-        m = match_lesions(gt, pred, 0.1)
+        m = match_lesions(gt, pred, overlap(gt, pred), 0.1)
         gts = [g for g, _, _ in m.matches]
         preds = [p for _, p, _ in m.matches]
         assert len(set(gts)) == len(gts)
@@ -157,7 +185,8 @@ def test_conservation_and_one_to_one(rng):
 def test_threshold_monotonicity(rng):
     gt = find_connected_components(random_blob_mask(rng, (20, 20, 20), 0.25))
     pred = find_connected_components(random_blob_mask(rng, (20, 20, 20), 0.25))
-    counts = [len(match_lesions(gt, pred, t).matches) for t in (0.0, 0.2, 0.4, 0.6)]
+    ov = overlap(gt, pred)
+    counts = [len(match_lesions(gt, pred, ov, t).matches) for t in (0.0, 0.2, 0.4, 0.6)]
     assert counts == sorted(counts, reverse=True)
 
 
@@ -168,7 +197,7 @@ def test_oracle_equivalence(rng):
         gsets = lesion_voxel_sets(gt)
         psets = lesion_voxel_sets(pred)
         for tau in (0.0, 0.1, 0.35, 0.6):
-            m = match_lesions(gt, pred, tau)
+            m = match_lesions(gt, pred, overlap(gt, pred), tau)
             om, ofn, ofp = naive_match(gsets, psets, tau)
             assert m.matches == om
             assert m.unmatched_gt == ofn
@@ -179,15 +208,15 @@ def test_greedy_dominance_replay(rng):
     # for each accepted pair, no stronger candidate had both endpoints free
     gt = find_connected_components(random_blob_mask(rng, (18, 18, 18), 0.3))
     pred = find_connected_components(random_blob_mask(rng, (18, 18, 18), 0.3))
-    cands = generate_candidates(gt, pred, 0.05)
+    cands = generate_candidates(gt, pred, overlap(gt, pred), 0.05)
     matches = greedy_match(cands)
-    ordered = sorted(cands, key=lambda c: (-c.iou, c.gt_id, c.pred_id))
+    ordered = sorted(cands, key=lambda c: (-c[2], c[0], c[1]))
     used_g, used_p = set(), set()
     accepted = {(g, p) for g, p, _ in matches}
-    for c in ordered:
-        if (c.gt_id, c.pred_id) in accepted:
-            used_g.add(c.gt_id)
-            used_p.add(c.pred_id)
+    for g, p, _ in ordered:
+        if (g, p) in accepted:
+            used_g.add(g)
+            used_p.add(p)
         else:
-            assert c.gt_id in used_g or c.pred_id in used_p
+            assert g in used_g or p in used_p
     assert used_g == {g for g, _, _ in matches}

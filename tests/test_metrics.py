@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
+import lesioneval.matching
 import lesioneval.metrics
+import lesioneval.pipeline
 from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask
 from lesioneval.components import find_connected_components
-from lesioneval.matching import match_lesions
+from lesioneval.matching import match_lesions, overlap
 from lesioneval.metrics import (
     _hd95_one,
     _p95,
@@ -45,13 +47,14 @@ def _image_metrics(a, b, connectivity=6, variant="pooled", spacing=(1, 1, 1)):
     la = find_connected_components(a, connectivity)
     lb = find_connected_components(b, connectivity)
     dists = surface_distances(la, lb, spacing)
-    return compute_image_metrics(la, lb, variant, dists)
+    return compute_image_metrics(la, lb, overlap(la, lb), variant, dists)
 
 
 def _pair_metrics(gt, pred, g, p, spacing=(1, 1, 1), variant="pooled"):
     """compute_lesion_metrics of one pair, with the two masks' distances."""
     dists = surface_distances(gt, pred, spacing)
-    (m,) = compute_lesion_metrics(gt, pred, [(g, p, 0.0)], dists, variant)
+    ov = overlap(gt, pred)
+    (m,) = compute_lesion_metrics(gt, pred, ov, [(g, p, 0.0)], dists, variant)
     return m
 
 
@@ -77,7 +80,7 @@ def test_dice_symmetry(rng):
         ab, ba = _image_metrics(a, b), _image_metrics(b, a)
         assert ab.voxel_dice == ba.voxel_dice
         la, lb = find_connected_components(a), find_connected_components(b)
-        for g, p, _ in match_lesions(la, lb, 0.0).matches:
+        for g, p, _ in match_lesions(la, lb, overlap(la, lb), 0.0).matches:
             ab = _pair_metrics(la, lb, g, p)
             ba = _pair_metrics(lb, la, p, g)
             assert (ab.dice, ab.iou, ab.hd95_mm) == (ba.dice, ba.iou, ba.hd95_mm)
@@ -198,7 +201,7 @@ def test_dice_iou_identity(rng):
     for _ in range(10):
         gt = find_connected_components(random_blob_mask(rng, (14, 14, 14), 0.25))
         pred = find_connected_components(random_blob_mask(rng, (14, 14, 14), 0.25))
-        mset = match_lesions(gt, pred, 0.1)
+        mset = match_lesions(gt, pred, overlap(gt, pred), 0.1)
         for g, p, _ in mset.matches:
             m = _pair_metrics(gt, pred, g, p)
             assert abs(m.dice - 2 * m.iou / (1 + m.iou)) < 1e-12
@@ -218,7 +221,7 @@ def test_instance_metrics_from_matchset():
         mask_from_voxels(SQUARE | {(6, 6, 0)}, (8, 8, 2))
     )
     pred = find_connected_components(mask_from_voxels(SQUARE, (8, 8, 2)))
-    m = match_lesions(gt, pred, 0.35)
+    m = match_lesions(gt, pred, overlap(gt, pred), 0.35)
     counts = compute_instance_metrics(m)
     assert (counts.tp, counts.fp, counts.fn) == (1, 0, 1)
     assert counts.precision == 1.0 and counts.recall == 0.5
@@ -247,7 +250,7 @@ def test_image_metrics_divergence_case():
     assert im.voxel_dice == pytest.approx(2000 / 2050)
     gt_ls = find_connected_components(gt)
     pred_ls = find_connected_components(pred)
-    m = match_lesions(gt_ls, pred_ls, 0.35)
+    m = match_lesions(gt_ls, pred_ls, overlap(gt_ls, pred_ls), 0.35)
     counts = compute_instance_metrics(m)
     assert counts.recall == pytest.approx(1 / 6)
 
@@ -309,6 +312,63 @@ def test_evaluate_pair_builds_no_label_map(rng, monkeypatch):
     got = evaluate_pair("s", gt, pred, RunConfig(tau=0.1))
     assert got == expected
     assert got.pairs
+
+
+def test_evaluate_pair_intersects_the_foregrounds_once(rng, monkeypatch):
+    # one overlap table per sample serves the candidates, the pair overlaps
+    # and the image Dice; the other intersection is of the two surfaces
+    gt = random_blob_mask(rng, (14, 14, 14), 0.25)
+    pred = random_blob_mask(rng, (14, 14, 14), 0.25)
+    expected = evaluate_pair("s", gt, pred, RunConfig(tau=0.1))
+    labelled, calls = [], []
+    label = lesioneval.pipeline.find_connected_components
+
+    def recorded_label(*args):
+        labelled.append(label(*args))
+        return labelled[-1]
+
+    def recorded(a, b):
+        calls.append({id(a), id(b)})
+        return tuple(np.intersect1d(a, b, assume_unique=True, return_indices=True)[1:])
+
+    monkeypatch.setattr(lesioneval.pipeline, "find_connected_components", recorded_label)
+    for module in (lesioneval.matching, lesioneval.metrics):
+        monkeypatch.setattr(module, "intersect_sorted", recorded)
+    got = evaluate_pair("s", gt, pred, RunConfig(tau=0.1))
+    assert got == expected and got.pairs
+    g, p = labelled
+    assert calls.count({id(g.index), id(p.index)}) == 1
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "matches",
+    [
+        [(1, 1, 0.0), (1, 2, 0.0)],  # GT lesion 1 twice
+        [(1, 1, 0.0), (2, 1, 0.0)],  # predicted lesion 1 twice
+        [(1, 1, 0.0), (1, 1, 0.0)],  # one pair twice
+        [(0, 1, 0.0)],  # no lesion 0; it used to read as the last one
+        [(-1, 1, 0.0)],
+        [(3, 1, 0.0)],
+        [(1, 3, 0.0)],
+    ],
+)
+def test_lesion_metrics_reject_matches_not_one_to_one(matches):
+    # such lists used to give numbers that only looked valid: a Dice of 0
+    # for a pair that shares half its voxels, two rows for one pair, or a
+    # row for a lesion that does not exist
+    dims = (10, 10, 10)
+    gt = find_connected_components(
+        mask_from_voxels([(0, 0, 0), (1, 0, 0), (5, 5, 5), (6, 5, 5)], dims)
+    )
+    pred = find_connected_components(
+        mask_from_voxels([(1, 0, 0), (2, 0, 0), (5, 5, 5)], dims)
+    )
+    ov, dists = overlap(gt, pred), surface_distances(gt, pred, (1, 1, 1))
+    (m,) = compute_lesion_metrics(gt, pred, ov, [(1, 1, 0.0)], dists)
+    assert m.dice == 0.5
+    with pytest.raises(ValueError):
+        compute_lesion_metrics(gt, pred, ov, matches, dists)
 
 
 @pytest.fixture
@@ -611,17 +671,18 @@ def test_lesion_metrics_independent_of_batch(rng):
             for _ in range(2)
         )
         dists = surface_distances(gt, pred, tuple(rng.uniform(0.4, 3.0, 3)))
-        matches = match_lesions(gt, pred, 0.0).matches
+        ov = overlap(gt, pred)
+        matches = match_lesions(gt, pred, ov, 0.0).matches
         for variant in ("pooled", "max-of-directed"):
-            whole = compute_lesion_metrics(gt, pred, matches, dists, variant)
+            whole = compute_lesion_metrics(gt, pred, ov, matches, dists, variant)
             assert [m.gt_id for m in whole] == sorted(g for g, _, _ in matches)
             shuffled = [matches[i] for i in rng.permutation(len(matches))]
-            assert compute_lesion_metrics(gt, pred, shuffled, dists, variant) == whole
+            assert compute_lesion_metrics(gt, pred, ov, shuffled, dists, variant) == whole
             alone = [
-                compute_lesion_metrics(gt, pred, [m], dists, variant)[0]
+                compute_lesion_metrics(gt, pred, ov, [m], dists, variant)[0]
                 for m in sorted(matches)
             ]
             assert alone == whole
             n += len(whole)
-    assert compute_lesion_metrics(gt, pred, [], dists) == []
+    assert compute_lesion_metrics(gt, pred, ov, [], dists) == []
     assert n > 30

@@ -3,7 +3,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lesioneval.matching import CandidatePair, greedy_match
+from lesioneval.matching import greedy_match
 from lesioneval.stratify import SIZE_BINS, categorize
 from lesioneval.volume import Volume, binarize
 
@@ -20,14 +20,13 @@ def test_categorize_partitions(v):
     )
 )
 def test_greedy_match_is_one_to_one(pairs):
-    cands = [CandidatePair(g, p, iou) for g, p, iou in pairs]
-    matches = greedy_match(cands)
+    matches = greedy_match(pairs)
     gts = [g for g, _, _ in matches]
     preds = [p for _, p, _ in matches]
     assert len(set(gts)) == len(gts)
     assert len(set(preds)) == len(preds)
     # every accepted pair was a candidate
-    keys = {(c.gt_id, c.pred_id) for c in cands}
+    keys = {(g, p) for g, p, _ in pairs}
     assert all((g, p) in keys for g, p, _ in matches)
 
 
