@@ -17,7 +17,7 @@ from .pipeline import (
     read_manifest,
 )
 from .report import emit_reports
-from .stratify import BIN_NAMES, categorize
+from .stratify import BIN_NAMES, bin_index
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -134,11 +134,9 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     by_conn = {conn: find_connected_components(fg, conn) for conn in (6, 18, 26)}
     for conn, ls in by_conn.items():
         print(f"lesions (connectivity {conn}): {len(ls)}")
-    counts = {name: 0 for name in BIN_NAMES}
-    for l in by_conn[6].lesions:
-        counts[categorize(l.volume_vox).name] += 1
-    for name in BIN_NAMES:
-        print(f"  {name}: {counts[name]}")
+    bins = bin_index(by_conn[6].sizes).tolist()
+    for i, name in enumerate(BIN_NAMES):
+        print(f"  {name}: {bins.count(i)}")
     return EXIT_OK
 
 

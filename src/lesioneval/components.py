@@ -61,14 +61,12 @@ class Lesion:
 
     id: int
     volume_vox: int
-    volume_mm3: float
 
 
 @dataclass(frozen=True)
 class LesionSet:
     """All lesions of one mask, stored as its foreground voxels alone."""
 
-    lesions: list[Lesion]
     shape: tuple[int, int, int]  # [x, y, z] extent of the source mask
     index: np.ndarray  # ascending z-major linear indices of the foreground
     label: np.ndarray  # int32 lesion id of each voxel
@@ -77,10 +75,17 @@ class LesionSet:
     starts: np.ndarray  # lesion k's group is order[starts[k-1]:starts[k]]
 
     def __len__(self) -> int:
-        return len(self.lesions)
+        return self.starts.size - 1
 
-    def by_id(self, lesion_id: int) -> Lesion:
-        return self.lesions[lesion_id - 1]
+    @property
+    def sizes(self) -> np.ndarray:
+        """Each lesion's voxel count: lesion k's is ``sizes[k - 1]``."""
+        return np.diff(self.starts)
+
+    @property
+    def lesions(self) -> list[Lesion]:
+        """A ``Lesion`` per id, built from ``sizes`` on demand."""
+        return [Lesion(i, n) for i, n in enumerate(self.sizes.tolist(), start=1)]
 
     def run(self, lesion_id: int) -> np.ndarray:
         """Positions of one lesion's voxels, ascending."""
@@ -142,11 +147,6 @@ def find_connected_components(
 
     sizes = np.bincount(labels)[1:]
     starts = np.concatenate([[0], np.cumsum(sizes)])
-    voxel_mm3 = float(np.prod(fg.spacing))
-    lesions = [
-        Lesion(lesion_id, n, n * voxel_mm3)
-        for lesion_id, n in enumerate(sizes.tolist(), start=1)
-    ]
     runs = np.argsort(run_label, kind="stable")
     order = _ranges(first[runs], length[runs])
-    return LesionSet(lesions, (nx, ny, nz), idx, labels, surface, order, starts)
+    return LesionSet((nx, ny, nz), idx, labels, surface, order, starts)

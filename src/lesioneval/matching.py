@@ -45,7 +45,7 @@ def intersect_sorted(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def overlap(gt: LesionSet, pred: LesionSet) -> Overlap:
     """Every overlapping pair, below tau too: one intersection, one joint count."""
     gi, pi = intersect_sorted(gt.index, pred.index)
-    stride = len(pred.lesions) + 1
+    stride = len(pred) + 1
     key = gt.label[gi].astype(np.int64) * stride + pred.label[pi]
     keys, inter = np.unique(key, return_counts=True)
     return Overlap(keys // stride, keys % stride, inter)
@@ -55,7 +55,7 @@ def generate_candidates(
     gt: LesionSet, pred: LesionSet, ov: Overlap, tau: float = DEFAULT_TAU
 ) -> list[tuple[int, int, float]]:
     """``(gt_id, pred_id, iou)`` of each pair in ``ov`` with IoU strictly above tau."""
-    na, nb = np.diff(gt.starts)[ov.gt_id - 1], np.diff(pred.starts)[ov.pred_id - 1]
+    na, nb = gt.sizes[ov.gt_id - 1], pred.sizes[ov.pred_id - 1]
     iou = iou_counts(ov.inter, na, nb)
     keep = iou > tau
     return list(zip(ov.gt_id[keep].tolist(), ov.pred_id[keep].tolist(), iou[keep].tolist()))
@@ -84,10 +84,9 @@ def match_lesions(
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"tau must be in [0, 1), got {tau}")
     matches = greedy_match(generate_candidates(gt, pred, ov, tau))
-    matched_gt = {m[0] for m in matches}
-    matched_pred = {m[1] for m in matches}
-    return MatchSet(
-        matches=matches,
-        unmatched_gt=[l.id for l in gt.lesions if l.id not in matched_gt],
-        unmatched_pred=[l.id for l in pred.lesions if l.id not in matched_pred],
-    )
+
+    def unmatched(ls: LesionSet, side: int) -> list[int]:
+        taken = {m[side] for m in matches}
+        return [i for i in range(1, len(ls) + 1) if i not in taken]
+
+    return MatchSet(matches, unmatched(gt, 0), unmatched(pred, 1))

@@ -286,8 +286,8 @@ def compute_lesion_metrics(
         hd95_variant,
     )
     out = []
-    for (g, p), i, h in zip(ids, inter.tolist(), hd.tolist()):
-        gv, pv = gt.by_id(g).volume_vox, pred.by_id(p).volume_vox
+    gvox, pvox = gt.sizes[g_ids - 1].tolist(), pred.sizes[p_ids - 1].tolist()
+    for (g, p), i, h, gv, pv in zip(ids, inter.tolist(), hd.tolist(), gvox, pvox):
         out.append(
             LesionPairMetrics(
                 gt_id=g,

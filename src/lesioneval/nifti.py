@@ -147,11 +147,12 @@ class _VoxelSource:
 
         offset = int(round(vox_offset))
         if magic == b"ni1\x00":
-            # header/image pair: voxel data lives in the sibling .img file
+            # header/image pair: voxel data lives in the sibling .img (.img.gz) file
             if offset < 0:
                 raise BadMagic(f"{path}: vox_offset {offset} is negative")
+            stem, gz = (path[:-3], ".gz") if path.endswith(".gz") else (path, "")
             self._stream.close()
-            self._stream, limit, self._gz = _open(os.path.splitext(path)[0] + ".img")
+            self._stream, limit, self._gz = _open(os.path.splitext(stem)[0] + ".img" + gz)
             at = 0
         else:
             if offset < VOX_OFFSET:
@@ -219,7 +220,7 @@ def _read_json_fixture(path: str) -> Volume:
         raise IoFailure(f"cannot read {path}: {e}") from e
     try:
         obj = json.loads(text)
-        dims = tuple(int(d) for d in obj["dims"])
+        dims = tuple(obj["dims"])
         spacing = tuple(float(s) for s in obj["spacing"])
         # the values as written: ints stay ints, floats (NaN too) floats
         flat = np.asarray(obj["data"])
@@ -227,6 +228,8 @@ def _read_json_fixture(path: str) -> Volume:
         raise BadMagic(f"{path}: not a JSON fixture: {type(e).__name__}: {e}") from e
     if len(dims) != 3 or len(spacing) != 3:
         raise BadMagic(f"{path}: dims and spacing need three entries each")
+    if not all(type(d) is int for d in dims):
+        raise BadMagic(f"{path}: dims {list(dims)} must be integers")
     if flat.ndim != 1 or flat.dtype.kind not in "biuf":
         raise BadMagic(f"{path}: data must be a flat list of numbers")
     if flat.size != dims[0] * dims[1] * dims[2]:

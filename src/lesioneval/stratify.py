@@ -16,13 +16,8 @@ class SizeBin:
     lower_vox: int  # inclusive
     upper_vox: int | None  # exclusive; None = unbounded
 
-    def contains(self, volume_vox: int) -> bool:
-        if volume_vox < self.lower_vox:
-            return False
-        return self.upper_vox is None or volume_vox < self.upper_vox
 
-
-# Half-open lower-inclusive bins partitioning [1, inf).
+# Half-open lower-inclusive bins partitioning [1, inf): each ends where the next begins.
 SIZE_BINS = (
     SizeBin("VerySmall", 1, 10),
     SizeBin("Small", 10, 100),
@@ -30,16 +25,20 @@ SIZE_BINS = (
     SizeBin("Large", 400, None),
 )
 BIN_NAMES = tuple(b.name for b in SIZE_BINS)
+_LOWER_VOX = np.array([b.lower_vox for b in SIZE_BINS])
+
+
+def bin_index(volume_vox: np.ndarray) -> np.ndarray:
+    """The position in ``SIZE_BINS`` of each voxel count's bin."""
+    volume_vox = np.asarray(volume_vox)
+    if np.any(volume_vox < 1):
+        raise ValueError(f"lesion volume must be >= 1 voxel, got {volume_vox.min()}")
+    return np.searchsorted(_LOWER_VOX, volume_vox, side="right") - 1
 
 
 def categorize(volume_vox: int) -> SizeBin:
     """The unique size bin whose half-open interval contains the count."""
-    if volume_vox < 1:
-        raise ValueError(f"lesion volume must be >= 1 voxel, got {volume_vox}")
-    for b in SIZE_BINS:
-        if b.contains(volume_vox):
-            return b
-    raise AssertionError("bins must partition [1, inf)")
+    return SIZE_BINS[bin_index(volume_vox)]
 
 
 @dataclass(frozen=True)
@@ -133,27 +132,23 @@ def stratify(
     """
     by_gt = {pm.gt_id: pm for pm in pairs}
     records: list[LesionRecord] = []
-    for g in gt.lesions:
-        name = categorize(g.volume_vox).name
-        pm = by_gt.get(g.id)
+    gt_bins = bin_index(gt.sizes).tolist()
+    for g, (n, b) in enumerate(zip(gt.sizes.tolist(), gt_bins), start=1):
+        name = BIN_NAMES[b]
+        pm = by_gt.get(g)
         if pm is not None:
             records.append(
                 LesionRecord(
-                    g.id, "TP", g.volume_vox, pm.pred_vox, name,
+                    g, "TP", n, pm.pred_vox, name,
                     pm.dice, pm.hd95_mm, pm.size_ratio,
                 )
             )
         else:
-            records.append(
-                LesionRecord(g.id, "FN", g.volume_vox, None, name, None, None, None)
-            )
+            records.append(LesionRecord(g, "FN", n, None, name, None, None, None))
 
-    for pid in match.unmatched_pred:
-        p = pred.by_id(pid)
-        name = categorize(p.volume_vox).name
-        records.append(
-            LesionRecord(p.id, "FP", None, p.volume_vox, name, None, None, None)
-        )
+    fp_vox = pred.sizes[np.array(match.unmatched_pred, np.intp) - 1]
+    for p, n, b in zip(match.unmatched_pred, fp_vox.tolist(), bin_index(fp_vox).tolist()):
+        records.append(LesionRecord(p, "FP", None, n, BIN_NAMES[b], None, None, None))
     return aggregate_bins(records), records
 
 

@@ -28,14 +28,14 @@ def mask_from_voxels(voxels, dims, spacing=(1.0, 1.0, 1.0)) -> Volume:
 
 def lesion_voxel_sets(ls) -> list[frozenset]:
     """Each lesion's (x, y, z) voxels, read from its run, in id order."""
-    return [frozenset(map(tuple, ls.coords(ls.run(l.id)).tolist())) for l in ls.lesions]
+    return [frozenset(map(tuple, ls.coords(ls.run(i)).tolist())) for i in range(1, len(ls) + 1)]
 
 
 def lesion_boxes(ls) -> list[tuple[slice, slice, slice]]:
     """Each lesion's tight [x, y, z] box, read from its run, in id order."""
     boxes = []
-    for l in ls.lesions:
-        c = ls.coords(ls.run(l.id))
+    for i in range(1, len(ls) + 1):
+        c = ls.coords(ls.run(i))
         boxes.append(tuple(map(slice, c.min(axis=0).tolist(), (c.max(axis=0) + 1).tolist())))
     return boxes
 

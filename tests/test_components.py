@@ -14,7 +14,7 @@ def test_empty_mask():
     v = Volume(np.zeros((4, 4, 4), dtype=np.uint8), (1, 1, 1))
     ls = find_connected_components(v)
     assert len(ls) == 0
-    assert ls.lesions == []
+    assert ls.sizes.tolist() == []
     assert not ls.label_map.any()
 
 
@@ -47,7 +47,7 @@ def _assert_matches_scipy(data, connectivity):
     assert ls.label_map.dtype == label_map.dtype
     assert np.array_equal(ls.label_map, label_map)
     assert [
-        (l.id, box, l.volume_vox) for l, box in zip(ls.lesions, lesion_boxes(ls))
+        (i, box, n) for i, (box, n) in enumerate(zip(lesion_boxes(ls), ls.sizes.tolist()), 1)
     ] == lesions
     return ls
 
@@ -114,7 +114,7 @@ def test_lesions_on_all_six_faces(connectivity):
 def test_full_grid_is_one_lesion(connectivity):
     for dims in [(5, 4, 3), (1, 4, 3), (6, 1, 1), (1, 1, 1)]:
         ls = _assert_matches_scipy(np.ones(dims, dtype=np.uint8), connectivity)
-        assert len(ls) == 1 and ls.lesions[0].volume_vox == np.prod(dims)
+        assert ls.sizes.tolist() == [np.prod(dims)]
 
 
 @pytest.mark.parametrize("connectivity", [6, 18, 26])
@@ -185,9 +185,7 @@ def test_centered_cube():
     arr = np.zeros((5, 5, 5), dtype=np.uint8)
     arr[1:4, 1:4, 1:4] = 1
     ls = find_connected_components(Volume(arr, (1, 1, 1)))
-    assert len(ls) == 1
-    l = ls.lesions[0]
-    assert l.volume_vox == 27
+    assert ls.sizes.tolist() == [27]
     assert lesion_boxes(ls) == [(slice(1, 4),) * 3]
 
 
@@ -198,18 +196,21 @@ def test_label_ordering_is_zyx_lexicographic():
     assert lesion_voxel_sets(ls) == [frozenset({(3, 3, 0)}), frozenset({(0, 0, 1)})]
 
 
-def test_volume_mm3_uses_spacing():
+def test_sizes_count_voxels_at_any_spacing():
     arr = np.zeros((4, 4, 4), dtype=np.uint8)
     arr[0:2, 0:2, 0:2] = 1
+    arr[3, 3, 3] = 1
     ls = find_connected_components(Volume(arr, (0.5, 0.5, 2.0)))
-    assert ls.lesions[0].volume_mm3 == pytest.approx(8 * 0.5 * 0.5 * 2.0)
+    assert len(ls) == 2
+    assert ls.sizes.tolist() == [8, 1]
+    assert np.array_equal(ls.sizes, np.diff(ls.starts))
 
 
 def test_single_voxel_stats():
     v = mask_from_voxels([(2, 3, 4)], (6, 6, 6))
     ls = find_connected_components(v)
-    (l,) = ls.lesions
-    assert (l.id, l.volume_vox, l.volume_mm3) == (1, 1, 1.0)
+    (l,) = ls.lesions  # built on demand from sizes
+    assert (l.id, l.volume_vox) == (1, 1)
     assert lesion_boxes(ls) == [(slice(2, 3), slice(3, 4), slice(4, 5))]
 
 
@@ -217,13 +218,13 @@ def test_partition_property(rng):
     for _ in range(10):
         v = random_blob_mask(rng, (16, 16, 16), rng.uniform(0.1, 0.5))
         ls = find_connected_components(v, 6)
-        assert sum(l.volume_vox for l in ls.lesions) == v.foreground_count()
+        assert ls.sizes.sum() == v.foreground_count()
         assert np.array_equal(ls.label_map != 0, v.data != 0)
         # each lesion's run holds exactly its voxels in the label map
         label_map = ls.label_map
-        for l, vox in zip(ls.lesions, lesion_voxel_sets(ls)):
-            assert vox == set(map(tuple, np.argwhere(label_map == l.id).tolist()))
-            assert l.volume_vox == len(vox)
+        for i, (n, vox) in enumerate(zip(ls.sizes.tolist(), lesion_voxel_sets(ls)), 1):
+            assert vox == set(map(tuple, np.argwhere(label_map == i).tolist()))
+            assert n == len(vox)
 
 
 def test_determinism(rng):

@@ -1,16 +1,33 @@
 """Property-based checks of the module invariants."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lesioneval.matching import greedy_match
-from lesioneval.stratify import SIZE_BINS, categorize
+from lesioneval.stratify import SIZE_BINS, bin_index, categorize
 from lesioneval.volume import Volume, binarize
+
 
 @given(st.integers(1, 10_000))
 def test_categorize_partitions(v):
-    assert sum(b.contains(v) for b in SIZE_BINS) == 1
-    assert categorize(v).contains(v)
+    b = categorize(v)
+    assert b.lower_vox <= v and (b.upper_vox is None or v < b.upper_vox)
+
+
+def test_bin_index_is_categorize_on_arrays():
+    # bin_index reads only the lower bounds: it agrees with the declared
+    # bounds because the bins tile [1, inf), each ending where the next begins
+    assert SIZE_BINS[0].lower_vox == 1
+    assert [b.upper_vox for b in SIZE_BINS] == [b.lower_vox for b in SIZE_BINS[1:]] + [None]
+    # the array rule behind stratify and inspect picks categorize's bin
+    sizes = np.arange(1, 1001)
+    assert [SIZE_BINS[i] for i in bin_index(sizes).tolist()] == [
+        categorize(v) for v in sizes.tolist()
+    ]
+    assert bin_index(np.array([], np.int64)).tolist() == []
+    with pytest.raises(ValueError, match="got 0"):
+        bin_index(np.array([5, 0, 12]))
 
 
 @given(

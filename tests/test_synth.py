@@ -54,7 +54,7 @@ def test_lesion_sizes_fall_in_requested_bins():
     ls = find_connected_components(c.gt)
     from lesioneval.stratify import categorize
 
-    got = sorted(categorize(l.volume_vox).name for l in ls.lesions)
+    got = sorted(categorize(n).name for n in ls.sizes.tolist())
     want = sorted(name for name, n in ALL_BINS.items() for _ in range(n))
     assert got == want
 

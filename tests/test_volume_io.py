@@ -263,6 +263,23 @@ def test_hdr_img_pair(tmp_path):
     assert read_volume(str(tmp_path / "pair.hdr")) == v
 
 
+def test_gzipped_hdr_img_pair(tmp_path):
+    # scan.hdr.gz names its voxels scan.img.gz, not scan.hdr.img
+    data = np.zeros((3, 2, 2), dtype=np.uint8)
+    data[1, 0, 1] = data[2, 1, 0] = 1
+    v = Volume(data, (1, 1, 1))
+    write_volume(v, str(tmp_path / "m.nii"))
+    raw = bytearray((tmp_path / "m.nii").read_bytes())
+    raw[344:348] = b"ni1\x00"
+    struct.pack_into("<f", raw, 108, 0.0)
+    (tmp_path / "scan.hdr.gz").write_bytes(gzip.compress(bytes(raw[:348])))
+    (tmp_path / "scan.img.gz").write_bytes(gzip.compress(bytes(raw[VOX_OFFSET:])))
+    hdr = str(tmp_path / "scan.hdr.gz")
+    assert read_volume(hdr) == v
+    fg = read_foreground(hdr)
+    assert np.array_equal(fg.index, Foreground.from_mask(v).index) and fg.dims == v.dims
+
+
 def _pair_with_offset(tmp_path, vox_offset, img):
     v = Volume(np.zeros((2, 2, 2), dtype=np.uint8), (1, 1, 1))
     write_volume(v, str(tmp_path / "m.nii"))
@@ -432,3 +449,17 @@ def test_json_fixture_malformed_fields(tmp_path, text):
     p.write_text(text)
     with pytest.raises(BadMagic):
         read_volume(str(p))
+
+
+@pytest.mark.parametrize(
+    "dims, n",
+    [("[2.9, 2, 2]", 8), ("[true, 2, 2]", 4), ('["2", 2, 2]', 8)],
+    ids=["float", "bool", "str"],
+)
+def test_json_fixture_dims_must_be_ints(tmp_path, dims, n):
+    # each used to be coerced by int(): 2.9 to 2, true to 1, "2" to 2
+    p = tmp_path / "m.json"
+    p.write_text(f'{{"dims": {dims}, "spacing": [1, 1, 1], "data": {[1] * n}}}')
+    for read in (read_volume, read_foreground):
+        with pytest.raises(BadMagic, match="dims"):
+            read(str(p))
