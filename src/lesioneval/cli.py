@@ -4,10 +4,11 @@ from __future__ import annotations
 import argparse
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from typing import NoReturn
 
 from . import __version__
 from .components import find_connected_components
-from .errors import LesionEvalError, ManifestParseError
+from .errors import LesionEvalError
 from .nifti import read_foreground
 from .pipeline import (
     ManifestRow,
@@ -22,6 +23,14 @@ from .stratify import BIN_NAMES, bin_index
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARTIAL = 2
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits EXIT_USAGE on a usage error; argparse's own 2 is EXIT_PARTIAL here."""
+
+    def error(self, message: str) -> NoReturn:
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _add_eval_flags(p: argparse.ArgumentParser) -> None:
@@ -42,12 +51,12 @@ def _add_eval_flags(p: argparse.ArgumentParser) -> None:
         help="binarize threshold",
     )
     p.add_argument("--out", default="lesioneval-out", help="output directory")
-    p.add_argument("--jobs", type=int, default=d.parallelism)
+    p.add_argument("--jobs", type=int, default=1, help="samples evaluated at once")
     p.add_argument("--format", choices=("json", "csv", "both"), default="both")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lesioneval",
         description="Lesion-wise evaluation of 3D binary segmentation masks",
     )
@@ -59,43 +68,40 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--gt", help="single-pair mode: ground-truth mask")
     ev.add_argument("--pred", help="single-pair mode: predicted mask")
     _add_eval_flags(ev)
+    ev.set_defaults(run=_cmd_evaluate)
 
     ins = sub.add_parser("inspect", help="summarize one mask volume")
     ins.add_argument("volume")
     ins.add_argument(
         "--threshold", type=float, default=RunConfig().binarize_threshold
     )
+    ins.set_defaults(run=_cmd_inspect)
     return parser
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    if bool(args.manifest) == bool(args.gt or args.pred):
+    given = (bool(args.manifest), bool(args.gt), bool(args.pred))
+    if given not in ((True, False, False), (False, True, True)):
         print("evaluate needs either --manifest or both --gt and --pred",
               file=sys.stderr)
         return EXIT_USAGE
     try:
+        if args.jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {args.jobs}")
         config = RunConfig(
             tau=args.tau,
             connectivity=args.connectivity,
             distance_units=args.distance_units,
             hd95_variant=args.hd95_variant,
             binarize_threshold=args.threshold,
-            parallelism=args.jobs,
         )
     except ValueError as e:
         print(f"bad config: {e}", file=sys.stderr)
         return EXIT_USAGE
 
     if args.manifest:
-        try:
-            rows = read_manifest(args.manifest)
-        except ManifestParseError as e:
-            print(str(e), file=sys.stderr)
-            return EXIT_USAGE
+        rows = read_manifest(args.manifest)  # ManifestParseError: main exits 1
     else:
-        if not (args.gt and args.pred):
-            print("single-pair mode needs both --gt and --pred", file=sys.stderr)
-            return EXIT_USAGE
         rows = [ManifestRow("sample", args.gt, args.pred)]
 
     def run_one(row: ManifestRow):
@@ -104,11 +110,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         except (LesionEvalError, OSError, ValueError) as e:
             return None, SampleFailure(row.sample_id, f"{type(e).__name__}: {e}")
 
-    if config.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            outcomes = list(pool.map(run_one, rows))
-    else:
-        outcomes = [run_one(r) for r in rows]
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        outcomes = list(pool.map(run_one, rows))
 
     samples = [s for s, _ in outcomes if s is not None]
     failures = [f for _, f in outcomes if f is not None]
@@ -143,14 +146,10 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "evaluate":
-            return _cmd_evaluate(args)
-        if args.command == "inspect":
-            return _cmd_inspect(args)
+        return args.run(args)
     except LesionEvalError as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_USAGE
 
 
 if __name__ == "__main__":

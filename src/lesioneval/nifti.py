@@ -221,7 +221,10 @@ def _read_json_fixture(path: str) -> Volume:
     try:
         obj = json.loads(text)
         dims = tuple(obj["dims"])
-        spacing = tuple(float(s) for s in obj["spacing"])
+        spacing = tuple(obj["spacing"])
+        if not all(type(s) in (int, float) for s in spacing):
+            raise TypeError(f"spacing {list(spacing)} must be numbers")
+        spacing = tuple(map(float, spacing))
         # the values as written: ints stay ints, floats (NaN too) floats
         flat = np.asarray(obj["data"])
     except (KeyError, TypeError, ValueError, OverflowError) as e:

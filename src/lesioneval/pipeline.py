@@ -22,12 +22,13 @@ from .volume import Foreground, Volume, binarize, check_compatibility
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The evaluation settings; every report records all of them."""
+
     tau: float = DEFAULT_TAU
     connectivity: int = 6
     distance_units: str = "mm"  # mm | voxels
     hd95_variant: str = "pooled"  # pooled | max-of-directed
     binarize_threshold: float = 0.5
-    parallelism: int = 1
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.tau < 1.0:
@@ -44,22 +45,6 @@ class RunConfig:
             raise ValueError(
                 f"binarize_threshold must be finite, got {self.binarize_threshold}"
             )
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
-
-    def provenance(self) -> dict:
-        """Config fields embedded in every report.
-
-        Parallelism is excluded: reports are required to be byte-identical
-        across --jobs settings.
-        """
-        return {
-            "tau": self.tau,
-            "connectivity": self.connectivity,
-            "distance_units": self.distance_units,
-            "hd95_variant": self.hd95_variant,
-            "binarize_threshold": self.binarize_threshold,
-        }
 
 
 @dataclass(frozen=True)
@@ -146,7 +131,7 @@ def read_manifest(path: str) -> list[ManifestRow]:
     """Parse a CSV manifest; relative paths resolve against its directory."""
     base = os.path.dirname(os.path.abspath(path))
     try:
-        with open(path, newline="") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             reader = csv.DictReader(f)
             if reader.fieldnames is None:
                 raise ManifestParseError(f"{path}: empty manifest")

@@ -30,7 +30,7 @@ def _sample_payload(s: SampleResult, config: RunConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "config": config.provenance(),
+        "config": _row(config),
         "sample_id": s.sample_id,
         "model_tag": s.model_tag,
         "gt_lesions": s.gt_lesions,
@@ -100,7 +100,7 @@ def emit_reports(
     summary = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "config": config.provenance(),
+        "config": _row(config),
         "n_samples": len(samples),
         "samples": [s.sample_id for s in samples],
         "failures": [{"sample_id": f.sample_id, "reason": f.reason} for f in failures],

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 
@@ -52,7 +53,7 @@ def test_evaluate_defaults_are_run_config_defaults(tmp_path):
                  "--out", str(out)])
     assert code == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["config"] == RunConfig().provenance()
+    assert summary["config"] == dataclasses.asdict(RunConfig())
 
 
 def test_evaluate_missing_file_partial_failure(tmp_path, capsys):
@@ -101,6 +102,8 @@ def test_single_pair_mode(tmp_path):
 def test_usage_errors(tmp_path):
     assert main(["evaluate"]) == 1
     assert main(["evaluate", "--manifest", "x.csv", "--gt", "y"]) == 1
+    assert main(["evaluate", "--gt", "y"]) == 1
+    assert main(["evaluate", "--pred", "y"]) == 1
     # bad tau
     rng = np.random.default_rng(4)
     g, p = _make_pair(tmp_path, "u", rng)
@@ -421,10 +424,66 @@ def test_non_finite_threshold_rejected(tmp_path, capsys, threshold):
 @pytest.mark.parametrize(
     "field, value",
     [("tau", 1.5), ("connectivity", 4), ("distance_units", "cm"),
-     ("hd95_variant", "mean"), ("binarize_threshold", float("nan")), ("parallelism", 0)],
+     ("hd95_variant", "mean"), ("binarize_threshold", float("nan"))],
 )
 def test_run_config_errors_name_the_bad_value(field, value):
     # the message is all `bad config` prints, so it must show what was wrong
     with pytest.raises(ValueError) as e:
         RunConfig(**{field: value})
     assert repr(value) in str(e.value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["frobnicate"],
+        ["inspect"],
+        ["evaluate", "--bogus"],
+        ["evaluate", "--gt", "a", "--pred", "b", "--connectivity", "7"],
+        ["evaluate", "--gt", "a", "--pred", "b", "--tau", "abc"],
+        ["evaluate", "--gt", "a", "--pred", "b", "--jobs", "x"],
+        ["evaluate", "--gt", "a", "--pred", "b", "--format", "xml"],
+    ],
+    ids=["no-command", "bad-command", "inspect-no-volume", "unknown-flag",
+         "bad-connectivity", "tau-not-a-number", "jobs-not-a-number", "bad-format"],
+)
+def test_argparse_usage_errors_exit_1(tmp_path, monkeypatch, capsys, argv):
+    # argparse exits 2 on a usage error, and 2 means "some samples failed":
+    # a script checking exit codes would take the old reports for a partial run
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["--version"], ["--help"], ["evaluate", "--help"]])
+def test_version_and_help_exit_0(argv):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_rejected(tmp_path, capsys, jobs):
+    g, p = _make_pair(tmp_path, "a", np.random.default_rng(14))
+    out = tmp_path / "out"
+    code = main(["evaluate", "--gt", str(tmp_path / g), "--pred", str(tmp_path / p),
+                 f"--jobs={jobs}", "--out", str(out)])
+    assert code == 1
+    assert "bad config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_with_utf8_bom(tmp_path):
+    # spreadsheet exports often start with a byte order mark; it used to end
+    # up in the first column name and fail with "missing columns ['sample_id']"
+    rng = np.random.default_rng(15)
+    g, p = _make_pair(tmp_path, "a", rng)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_bytes(f"sample_id,gt_path,pred_path\r\na,{g},{p}\r\n".encode("utf-8-sig"))
+    (row,) = read_manifest(str(manifest))
+    assert row.sample_id == "a"
+    assert main(["evaluate", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 0

@@ -463,3 +463,17 @@ def test_json_fixture_dims_must_be_ints(tmp_path, dims, n):
     for read in (read_volume, read_foreground):
         with pytest.raises(BadMagic, match="dims"):
             read(str(p))
+
+
+@pytest.mark.parametrize(
+    "spacing",
+    ['[true, 1, 1]', '[1, "2", 1]', '[1, 1, null]', '[1, [1], 1]'],
+    ids=["bool", "str", "null", "list"],
+)
+def test_json_fixture_spacing_must_be_numbers(tmp_path, spacing):
+    # a bool or a string used to be coerced by float(): true to 1.0, "2" to 2.0
+    p = tmp_path / "m.json"
+    p.write_text(f'{{"dims": [2, 1, 1], "spacing": {spacing}, "data": [1, 0]}}')
+    for read in (read_volume, read_foreground):
+        with pytest.raises(BadMagic, match=r"spacing \[.*\] must be numbers"):
+            read(str(p))
