@@ -260,8 +260,10 @@ def read_foreground(path: str, threshold: float = 0.5) -> Foreground:
     if path.endswith(".json"):
         return Foreground.from_mask(binarize(_read_json_fixture(path), threshold))
     with _VoxelSource(path) as src:
+        # one mask for every chunk: a fresh one per chunk costs more than the compare
+        mask = np.empty(max(CHUNK_BYTES // src.dtype.itemsize, 1), bool)
         hits = [
-            np.flatnonzero(above(chunk, threshold, path)) + first
+            np.flatnonzero(above(chunk, threshold, path, mask[: chunk.size])) + first
             for first, chunk in src.chunks()
         ]
     return Foreground(np.concatenate(hits), src.dims, src.spacing)

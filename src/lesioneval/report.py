@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import os
@@ -51,8 +52,42 @@ def _write_text(path: str, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {e}") from e
 
 
+@functools.cache
+def _flat_encoder(pad: str) -> json.JSONEncoder:
+    # with no indent, json uses its C encoder; the separator supplies the indent
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": "))
+
+
+def _encode(obj, pad: str) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for a value indented by ``pad``.
+
+    A dict or list that holds no container is encoded in one C-encoder call;
+    only the containers around those are joined here. Dict keys must be str.
+    """
+    is_dict = isinstance(obj, dict)
+    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
+        return _flat_encoder(pad).encode(obj)
+    inner = pad + "  "
+    if any(isinstance(v, (dict, list, tuple)) for v in (obj.values() if is_dict else obj)):
+        items = (
+            (f"{json.encoder.encode_basestring_ascii(k)}: {_encode(v, inner)}"
+             for k, v in sorted(obj.items()))
+            if is_dict else (_encode(v, inner) for v in obj)
+        )
+        body = (",\n" + inner).join(items)
+    else:
+        body = _flat_encoder(inner).encode(obj)[1:-1]
+    bracket = "{}" if is_dict else "[]"
+    return f"{bracket[0]}\n{inner}{body}\n{pad}{bracket[1]}"
+
+
 def _dump_json(obj: dict) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    With an indent, json falls back to its pure-Python encoder; ``_encode``
+    keeps the C encoder for every flat dict and list.
+    """
+    return _encode(obj, "") + "\n"
 
 
 def emit_reports(

@@ -89,19 +89,37 @@ class Foreground:
         return cls(idx, mask.dims, mask.spacing)
 
 
-def above(data: np.ndarray, threshold: float, source: str | None) -> np.ndarray:
+def above(
+    data: np.ndarray, threshold: float, source: str | None, out: np.ndarray | None = None
+) -> np.ndarray:
     """``data > threshold``; raises NanVoxels if any voxel is NaN.
 
     NaN compares False with every threshold, so it would silently become
-    background. ``max`` propagates NaN, so one reduction finds it.
+    background. On float data ``max`` propagates NaN, so one reduction
+    finds it. Integers of up to 32 bits are compared in their own dtype,
+    with no cast to float: for integer ``x``, ``x > t`` is ``x > floor(t)``.
+    A threshold at or above the dtype's max (or NaN) gives all False, one
+    below its min all True. Every such integer is exact in float64, so the
+    result equals the float comparison bit for bit, at any threshold.
+    ``out``, a bool array of ``data``'s shape, receives the result if given.
     """
-    if data.dtype.kind == "f" and np.isnan(data.max()):
+    kind = data.dtype.kind
+    if kind == "f" and np.isnan(data.max()):
         raise NanVoxels(f"{source or 'volume'}: NaN voxels cannot be thresholded")
-    return data > threshold
+    if kind in "iu" and data.dtype.itemsize <= 4:
+        info = np.iinfo(data.dtype)
+        if threshold < info.min:
+            return np.greater_equal(data, info.min, out=out)  # every voxel
+        threshold = math.floor(threshold) if threshold < info.max else info.max
+    return np.greater(data, threshold, out=out)
 
 
 def binarize(v: Volume, threshold: float = 0.5) -> Volume:
-    """Threshold a volume: voxel > threshold becomes 1, else 0."""
+    """Threshold a volume: voxel > threshold becomes 1, else 0.
+
+    Any threshold acts as ``>`` does: NaN or inf gives no foreground, -inf
+    every voxel that is not itself -inf.
+    """
     out = above(v.data, threshold, v.source_path).view(np.uint8)
     return Volume(out, v.spacing, source_path=v.source_path)
 

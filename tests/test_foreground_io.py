@@ -9,14 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lesioneval import nifti
 from lesioneval.errors import BadMagic, LesionEvalError, NanVoxels, TruncatedFile
 from lesioneval.nifti import CODE_BY_DTYPE, read_foreground, read_volume, write_volume
-from lesioneval.volume import Volume, binarize
+from lesioneval.volume import Volume, above, binarize
 
 DTYPES = [np.uint8, np.int16, np.int32, np.float32, np.float64]
-THRESHOLDS = [0.5, 0.7, -0.3]
+# whole numbers, -0.0 and values outside an integer dtype's range take the
+# integer comparison's edges: floor, and the clamp to the dtype's min and max
+THRESHOLDS = [0.5, 0.7, -0.3, 1.0, 2.0, -2.0, -0.0, 300.0, 1e10, -1e10]
 
 
 def _header(data, endian="<", scale=(0.0, 0.0), vox_offset=352, magic=b"n+1\x00"):
@@ -143,6 +146,56 @@ def test_nan_voxels_rejected_by_both_thresholdings(tmp_path, container):
     assert np.isnan(vol.data).sum() == 8
     with pytest.raises(NanVoxels):
         binarize(vol)
+
+
+INT_DTYPES = [np.dtype(e + c) for c in ("u1", "i1", "u2", "i2", "u4", "i4", "u8", "i8")
+              for e in "<>"]
+
+
+@st.composite
+def _ints_and_threshold(draw):
+    """An integer array that holds its dtype's extremes, and a threshold."""
+    dtype = draw(st.sampled_from(INT_DTYPES))
+    info = np.iinfo(dtype)
+    edges = np.array([info.min, info.min + 1, info.max - 1, info.max], dtype)
+    body = draw(hnp.arrays(dtype, st.integers(0, 20)))
+    x = np.concatenate([edges, body]).astype(dtype)
+    near_edge = st.builds(
+        lambda edge, step: float(edge) + step / 2,
+        st.sampled_from([info.min, info.max, 0]), st.integers(-3, 3),
+    )
+    # a voxel's own value as a float: above 2**53 it rounds, and a 64-bit
+    # integer comparison would then disagree with the float one
+    at_voxel = st.sampled_from(x.tolist()).map(float)
+    t = draw(st.one_of(near_edge, at_voxel, st.floats(), st.integers(-(1 << 40), 1 << 40)))
+    return x, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ints_and_threshold())
+def test_integer_threshold_equals_float_comparison(case):
+    x, t = case
+    expected = x.astype(float) > t
+    assert np.array_equal(above(x, t, None), expected), (x.dtype, t)
+    out = ~expected  # every value stale
+    assert above(x, t, None, out) is out and np.array_equal(out, expected), (x.dtype, t)
+    out = binarize(Volume(x.reshape(-1, 1, 1), (1.0, 1.0, 1.0)), t)
+    assert out.data.dtype == np.uint8
+    assert np.array_equal(out.data.ravel(), expected), (x.dtype, t)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+def test_non_finite_threshold_keeps_the_float_comparison(tmp_path, dtype):
+    # NaN and inf give no foreground and -inf every voxel, as ``data > t`` did;
+    # an integer threshold must not reach floor() with them
+    data = _sample(dtype, np.random.default_rng(3), False)
+    p = _write(tmp_path, data, "nii")
+    everything = np.arange(data.size)
+    for t, expected in [(np.nan, everything[:0]), (np.inf, everything[:0]),
+                        (-np.inf, everything)]:
+        assert np.array_equal(read_foreground(p, t).index, expected), t
+        assert np.array_equal(np.flatnonzero(binarize(Volume(data, (1, 1, 1)), t).data.T),
+                              expected), t
 
 
 def test_gzip_bomb_memory_bounded(tmp_path):

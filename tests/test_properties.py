@@ -1,10 +1,13 @@
 """Property-based checks of the module invariants."""
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lesioneval.matching import greedy_match
+from lesioneval.report import _dump_json
 from lesioneval.stratify import SIZE_BINS, bin_index, categorize
 from lesioneval.volume import Volume, binarize
 
@@ -60,3 +63,21 @@ def test_binarize_idempotent(values, threshold):
     once = binarize(v, threshold)
     assert binarize(once, threshold) == once
     assert set(np.unique(once.data)) <= {0, 1}
+
+
+_JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.text(max_size=5), _JSON_VALUES, max_size=5))
+def test_dump_json_is_json_dumps_byte_for_byte(obj):
+    # empty containers, None, NaN and infinities, floats, bools and str keys,
+    # nested in dicts, lists and tuples at any depth
+    assert _dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
