@@ -62,16 +62,17 @@ def _nearest(
     return tree.query(query_mm, k=1)
 
 
-def _p95(key: np.ndarray, dist: np.ndarray, n: int) -> np.ndarray:
+def _p95(key: np.ndarray | None, dist: np.ndarray, n: int) -> np.ndarray:
     """The 95th percentile of each group ``dist[key == k]``, for k = 0..n-1.
 
     numpy's default ("linear") percentile, bit for bit: all groups are
     sorted at once, and each value is interpolated at the virtual index
     ``(size - 1) * 0.95`` between its two order statistics the way numpy's
     two-sided lerp does it. A single group (the image HD95) is partitioned
-    at its two order statistics instead. Every group must be non-empty.
+    at its two order statistics instead; its ``key`` may be None, for
+    ``dist`` is then the whole group. Every group must be non-empty.
     """
-    size = np.bincount(key, minlength=n)
+    size = np.array([dist.size]) if key is None else np.bincount(key, minlength=n)
     first = np.cumsum(size) - size
     at = (size - 1) * 0.95
     lo = np.floor(at)
@@ -85,21 +86,23 @@ def _p95(key: np.ndarray, dist: np.ndarray, n: int) -> np.ndarray:
 
 
 def _hd95(
-    k_ab: np.ndarray,
+    k_ab: np.ndarray | None,
     d_ab: np.ndarray,
-    k_ba: np.ndarray,
+    k_ba: np.ndarray | None,
     d_ba: np.ndarray,
     n: int,
     variant: str,
 ) -> np.ndarray:
     """HD95 of each of ``n`` groups from the two directed distance arrays.
 
-    ``k_ab`` and ``k_ba`` give each distance's group. The 95th percentile
-    (linear interpolation) of a group's pooled distances, or the larger of
-    its two directed ones; neither depends on their order.
+    ``k_ab`` and ``k_ba`` give each distance's group; both are None for a
+    single group. The 95th percentile (linear interpolation) of a group's
+    pooled distances, or the larger of its two directed ones; neither
+    depends on their order.
     """
     if variant == "pooled":
-        return _p95(np.concatenate([k_ab, k_ba]), np.concatenate([d_ab, d_ba]), n)
+        key = None if k_ab is None else np.concatenate([k_ab, k_ba])
+        return _p95(key, np.concatenate([d_ab, d_ba]), n)
     if variant == "max-of-directed":
         return np.maximum(_p95(k_ab, d_ab, n), _p95(k_ba, d_ba, n))
     raise ValueError(f"unknown hd95 variant {variant!r}")
@@ -107,8 +110,7 @@ def _hd95(
 
 def _hd95_one(d_ab: np.ndarray, d_ba: np.ndarray, variant: str) -> float:
     """``_hd95`` of a single group."""
-    k_ab, k_ba = np.zeros(d_ab.size, np.intp), np.zeros(d_ba.size, np.intp)
-    return float(_hd95(k_ab, d_ab, k_ba, d_ba, 1, variant)[0])
+    return float(_hd95(None, d_ab, None, d_ba, 1, variant)[0])
 
 
 @dataclass(frozen=True)
@@ -130,6 +132,7 @@ class SurfaceDistances:
 
 
 _BOX = 3  # the ring search probes offsets of up to this many voxels per axis
+_BLOCK = 4096  # open voxels probed together: bounds each shell's matrix of probes
 
 
 @functools.lru_cache(maxsize=16)
@@ -144,21 +147,46 @@ def _shells(sp: tuple[float, float, float]) -> list[tuple[np.ndarray, float]]:
     return [(off[keep][which == k], bound[k]) for k in range(shell.size)]
 
 
+def _steps(shape: tuple[int, int, int]) -> np.ndarray:
+    """Key steps in x, y and z on the grid padded by ``_BOX`` voxels per side."""
+    return np.cumprod([1, shape[0] + 2 * _BOX, shape[1] + 2 * _BOX])
+
+
+def _padded_keys(ls: LesionSet, pos: np.ndarray) -> np.ndarray:
+    """Keys ``(coords + _BOX) @ _steps`` of the voxels at ``pos``, ascending with them.
+
+    No offset of the box wraps a row or leaves the padded grid, so a key
+    plus an offset's key is the key of the voxel at that offset. Taken from
+    the linear index: ``i // nx`` counts the rows before the voxel and
+    ``i // (nx * ny)`` the slices, and each adds its padding.
+    """
+    nx, ny, _ = ls.shape
+    i = ls.index[pos].astype(np.int64)
+    pad = 2 * _BOX
+    rows, slices = i // nx, i // (nx * ny)
+    return i + pad * rows + pad * (nx + pad) * slices + _BOX * _steps(ls.shape).sum()
+
+
 def _nearest_surface(
     src: LesionSet,
     s_pos: np.ndarray,
+    s_key: np.ndarray,
     s_shared: np.ndarray,
     dst: LesionSet,
     d_pos: np.ndarray,
+    d_key: np.ndarray,
     d_shared: np.ndarray,
     sp: np.ndarray,
 ) -> NearestSurface:
     """Nearest ``dst`` surface voxel of each ``src`` surface voxel.
 
-    Row ``s_shared[i]`` of ``s_pos`` is the voxel at row ``d_shared[i]`` of
-    ``d_pos``: it is at distance 0. The others probe ``dst`` shell by shell,
-    each distance computed as the kd-tree does, until a shell settles fewer
-    than half of those still open; the kd-tree takes the rest.
+    ``s_key`` and ``d_key`` are the two surfaces' padded keys (see
+    ``_padded_keys``). Row ``s_shared[i]`` of ``s_pos`` is the voxel at row
+    ``d_shared[i]`` of ``d_pos``: it is at distance 0. The others probe
+    ``dst`` shell by shell, ``_BLOCK`` voxels at a time, each distance
+    computed as the kd-tree does, until a shell settles fewer than half of
+    those still open; the kd-tree takes the rest. Grid coordinates are
+    unravelled only for the probes that hit and for the kd-tree.
     """
     dist, near = np.zeros(s_pos.size), np.zeros(s_pos.size, np.int32)
     near[s_shared] = dst.label[d_pos[d_shared]]
@@ -166,33 +194,34 @@ def _nearest_surface(
     if d_pos.size == 0:
         dist[:] = np.inf
     elif q.size:
-        xyz, d_xyz = src.coords(s_pos[q]), dst.coords(d_pos)
-        # keys on a grid padded by the box radius: no step wraps or leaves it
-        step = np.cumprod([1, src.shape[0] + 2 * _BOX, src.shape[1] + 2 * _BOX])
-        key, d_key = (xyz + _BOX) @ step, (d_xyz + _BOX) @ step
-        d, row = np.full(q.size, np.inf), np.zeros(q.size, np.intp)
-        todo = np.arange(q.size)
+        dist[q] = np.inf
+        row, step, todo = np.zeros(s_pos.size, np.intp), _steps(src.shape), q
         # settled: nearer than the next shell by more than rounding can move either
         margin = 16 * np.finfo(float).eps * (max(src.shape) + _BOX + 1) * sp.max()
         for off, bound in _shells(tuple(sp.tolist())):
-            t = (off @ step)[:, None] + key[todo]
-            at = np.searchsorted(d_key, t)
-            j, i = np.nonzero(d_key.take(at, mode="clip") == t)
-            c = xyz[todo[i]]
-            diff = (c * sp - (c + off[j]) * sp) ** 2
-            hit = np.full(t.shape, np.inf)
-            hit[j, i] = np.sqrt(diff[:, 0] + diff[:, 1] + diff[:, 2])
-            k = hit.argmin(0)
-            best = hit[k, np.arange(todo.size)]
-            better = best < d[todo]
-            d[todo[better]], row[todo[better]] = best[better], at[k[better], better]
-            done = d[todo] < bound - margin
+            shift, done = (off @ step)[:, None], np.empty(todo.size, bool)
+            for lo in range(0, todo.size, _BLOCK):
+                b = todo[lo : lo + _BLOCK]
+                t = shift + s_key[b]
+                at = np.searchsorted(d_key, t)
+                j, i = np.nonzero(d_key.take(at, mode="clip") == t)
+                c = src.coords(s_pos[b[i]])
+                diff = (c * sp - (c + off[j]) * sp) ** 2
+                hit = np.full(t.shape, np.inf)
+                hit[j, i] = np.sqrt(diff[:, 0] + diff[:, 1] + diff[:, 2])
+                k = hit.argmin(0)
+                best = hit[k, np.arange(b.size)]
+                better = best < dist[b]
+                dist[b[better]], row[b[better]] = best[better], at[k[better], better]
+                done[lo : lo + _BLOCK] = dist[b] < bound - margin
             todo = todo[~done]
             if 2 * done.sum() < done.size or todo.size == 0:
                 break
         if todo.size:
-            d[todo], row[todo] = _nearest(d_xyz * sp, xyz[todo] * sp)
-        dist[q], near[q] = d, dst.label[d_pos[row]]
+            dist[todo], row[todo] = _nearest(
+                dst.coords(d_pos) * sp, src.coords(s_pos[todo]) * sp
+            )
+        near[q] = dst.label[d_pos[row[q]]]
     return NearestSurface(s_pos, dist, near)
 
 
@@ -201,18 +230,22 @@ def surface_distances(
 ) -> SurfaceDistances:
     """Each surface voxel's nearest surface voxel in the other mask, both ways.
 
-    A voxel on both surfaces is at distance 0; one intersection of the two
-    ascending surface index arrays finds those. Every other voxel searches
-    its grid neighbourhood first; only the voxels that leaves open are
-    queried against one kd-tree over the other mask's whole surface.
+    Each surface's padded grid keys are taken once from its linear index
+    and serve both directions. A voxel on both surfaces is at distance 0;
+    one intersection of the two ascending key arrays finds those. Every
+    other voxel searches its grid neighbourhood first, in fixed blocks of
+    voxels, so no matrix of probes grows with the surface; only the voxels
+    that leaves open are queried against one kd-tree over the other mask's
+    whole surface.
     """
     sp = np.asarray(spacing, dtype=float)
     g_pos, p_pos = np.flatnonzero(gt.surface), np.flatnonzero(pred.surface)
-    g_shared, p_shared = intersect_sorted(gt.index[g_pos], pred.index[p_pos])
+    g_key, p_key = _padded_keys(gt, g_pos), _padded_keys(pred, p_pos)
+    g_shared, p_shared = intersect_sorted(g_key, p_key)
     return SurfaceDistances(
         sp,
-        _nearest_surface(gt, g_pos, g_shared, pred, p_pos, p_shared, sp),
-        _nearest_surface(pred, p_pos, p_shared, gt, g_pos, g_shared, sp),
+        _nearest_surface(gt, g_pos, g_key, g_shared, pred, p_pos, p_key, p_shared, sp),
+        _nearest_surface(pred, p_pos, p_key, p_shared, gt, g_pos, g_key, g_shared, sp),
     )
 
 
@@ -325,8 +358,15 @@ def compute_instance_metrics(m: MatchSet) -> DetectionCounts:
 
 
 def _c_ordered(ls: LesionSet, ns: NearestSurface) -> np.ndarray:
-    """The distances of ``ns`` with their voxels in C [x, y, z] order."""
-    return ns.dist[np.argsort(np.ravel_multi_index(ls.coords(ns.pos).T, ls.shape))]
+    """The distances of ``ns`` with their voxels in C [x, y, z] order.
+
+    Each voxel's C index ``(x * ny + y) * nz + z`` comes from its linear
+    index; the indices are unique, so the order is the coordinates' order.
+    """
+    nx, ny, nz = ls.shape
+    z, rest = np.divmod(ls.index[ns.pos], nx * ny)
+    y, x = np.divmod(rest, nx)
+    return ns.dist[np.argsort((x * ny + y) * nz + z)]
 
 
 def compute_image_metrics(

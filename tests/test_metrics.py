@@ -1,10 +1,11 @@
 import sys
+import tracemalloc
 from dataclasses import astuple
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -15,8 +16,10 @@ from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask
 from lesioneval.components import find_connected_components
 from lesioneval.matching import match_lesions, overlap
 from lesioneval.metrics import (
+    _BOX,
     _hd95_one,
     _p95,
+    _padded_keys,
     compute_image_metrics,
     compute_instance_metrics,
     compute_lesion_metrics,
@@ -515,6 +518,10 @@ def _ring_is_kd(gt, pred, spacing):
             assert d.tolist() == ns.dist[rows].tolist()
 
 
+# the default block, and blocks that split every mask of these tests, mid-shell
+_BLOCKS = (lesioneval.metrics._BLOCK, 1, 7)
+
+
 _spacings = st.one_of(
     st.just((1.0, 1.0, 1.0)),  # voxel units
     st.floats(0.05, 20).map(lambda s: (s, s, s)),
@@ -567,9 +574,32 @@ def test_ring_search_equals_kd_tree(box, origin, density, seed, connectivity, sp
     vox = [np.argwhere(rng.random(box) < density) + origin for _ in range(2)]
     gt, pred = (_lesions_at(v, dims, spacing, connectivity) for v in vox)
     if len(gt) and len(pred):
-        _ring_is_kd(gt, pred, spacing)
-        with mock.patch.object(lesioneval.metrics, "_shells", _first_shells_as_one(m)):
-            _ring_is_kd(gt, pred, spacing)
+        for block in _BLOCKS:
+            with mock.patch.object(lesioneval.metrics, "_BLOCK", block):
+                _ring_is_kd(gt, pred, spacing)
+                with mock.patch.object(lesioneval.metrics, "_shells", _first_shells_as_one(m)):
+                    _ring_is_kd(gt, pred, spacing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+    st.tuples(*[st.one_of(st.just(0), st.integers(0, 100_000))] * 3),
+    st.integers(0, 2**32 - 1),
+)
+@example((1, 5, 4), (0, 3, 2), 0)  # nx = 1: every voxel starts a row
+@example((4, 1, 5), (2, 0, 100_000), 1)  # ny = 1: every row starts a slice
+def test_padded_keys_are_the_coordinates_keys(box, origin, seed):
+    # the keys taken from the linear index == those of the unravelled
+    # coordinates, on grids that end at a box placed at ``origin``
+    rng = np.random.default_rng(seed)
+    dims = tuple(b + o for b, o in zip(box, origin))
+    vox = np.argwhere(rng.random(box) < 0.5) + origin
+    if len(vox):
+        ls = _lesions_at(vox, dims, (1.0, 1.0, 1.0))
+        pos = np.flatnonzero(rng.random(ls.index.size) < 0.7)
+        step = np.array([1, dims[0] + 2 * _BOX, (dims[0] + 2 * _BOX) * (dims[1] + 2 * _BOX)])
+        assert _padded_keys(ls, pos).tolist() == ((ls.coords(pos) + _BOX) @ step).tolist()
 
 
 def test_ring_margin_grows_with_the_coordinates():
@@ -605,8 +635,31 @@ def test_ring_search_settles_or_falls_back(kd_trees, rng, shift, trees):
     pred = _boxes((16, 8, 8), s[1 + shift : 5 + shift, 1:5, 2:6])
     spacing = (rng.uniform(0.5, 2.0),) * 3
     gt, pred = (find_connected_components(Volume(m, spacing)) for m in (gt, pred))
-    _ring_is_kd(gt, pred, spacing)
-    assert kd_trees == trees
+    for block in _BLOCKS:
+        kd_trees.clear()
+        with mock.patch.object(lesioneval.metrics, "_BLOCK", block):
+            _ring_is_kd(gt, pred, spacing)
+        assert kd_trees == trees
+
+
+@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.9, 1.1, 3.0)])
+def test_surface_distances_memory_budget(spacing):
+    # the ring search probes in fixed blocks and unravels coordinates only
+    # for its hits and the kd-tree, so its transient arrays follow the
+    # surface: these masks need about 71 and 67 bytes a surface voxel
+    gt, pred = (
+        find_connected_components(random_blob_mask(np.random.default_rng(s), (64,) * 3, 0.4))
+        for s in (7, 8)
+    )
+    n = int(gt.surface.sum() + pred.surface.sum())
+    assert 120_000 < n < 170_000
+    tracemalloc.start()
+    try:
+        surface_distances(gt, pred, spacing)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 110 * n
 
 
 # distances with many ties: a few repeated values mixed with arbitrary ones
