@@ -4,8 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_array
-from scipy.sparse.csgraph import connected_components
 
 from .volume import Foreground, Volume
 
@@ -31,28 +29,46 @@ def _touching(k0: np.ndarray, k1: np.ndarray, step: int, slack: int):
     return np.repeat(np.arange(k0.size), n), _ranges(lo, n)
 
 
-def _surface(first, length, k0, k1, steps) -> np.ndarray:
+def _surface(first, length, k0, k1, faces) -> np.ndarray:
     """Flag voxels with a face neighbour outside the foreground: run ends, and
-    voxels not covered by runs of all four face rows. Each pair of runs in
-    adjacent face rows covers its x overlap in both; a difference array counts."""
-    cover = np.zeros(length.sum() + 1, np.int64)
-    for step in steps:
-        a, b = _touching(k0, k1, step, 0)
-        s, e = np.maximum(k0[a], k0[b] - step), np.minimum(k1[a], k1[b] - step) + 1
-        for r, shift in ((a, 0), (b, step)):
-            at = first[r] - k0[r] + shift
-            cover += np.bincount(at + s, minlength=cover.size)
-            cover -= np.bincount(at + e, minlength=cover.size)
+    voxels not covered by runs of all four face rows. Each pair (a, b) of runs
+    ``step`` keys apart, in ``faces``, covers its x overlap in both runs; one
+    difference array counts, from all overlaps' starts and then all their ends."""
+
+    def marks(edge, bound):
+        """Each overlap's start (k0, max) or end (k1 + 1, min), in both its runs."""
+        out = []
+        for step, (a, b) in faces:
+            x = bound(edge[a], edge[b] - step)
+            out += [first[a] - k0[a] + x, first[b] - k0[b] + step + x]
+        return np.concatenate(out)
+
+    cover = np.bincount(marks(k0, np.maximum), minlength=length.sum() + 1)
+    cover -= np.bincount(marks(k1 + 1, np.minimum), minlength=cover.size)
     surface = np.cumsum(cover[:-1], dtype=np.int8) < 4
     surface[first] = surface[first + length - 1] = True
     return surface
 
 
-def _run_components(k0: np.ndarray, k1: np.ndarray, rows) -> np.ndarray:
-    """Each run's component in the graph of touching runs."""
-    src, dst = map(np.concatenate, zip(*[_touching(k0, k1, *row) for row in rows]))
-    graph = coo_array((np.ones(src.size, np.int8), (src, dst)), shape=(k0.size,) * 2)
-    return connected_components(graph, directed=False)[1]
+def _run_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Each of ``n`` runs' component in the graph of edges ``src[i]``-``dst[i]``,
+    named by its smallest run.
+
+    Hook and jump: each round, every edge between two roots hooks the larger
+    root onto the smaller, ``label = label[label]`` repeats until every run
+    points at its root, and edges inside a component drop out. Every root with
+    an edge left hooks or is hooked onto, so those roots at least halve each
+    round. Hooks only point down, so a component's root is its smallest run.
+    """
+    label = np.arange(n)
+    while src.size:
+        src, dst = label[src], label[dst]  # each edge's two roots
+        cross = src != dst
+        src, dst = np.minimum(src, dst)[cross], np.maximum(src, dst)[cross]
+        label[dst] = src  # any smaller root will do
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    return label
 
 
 @dataclass(frozen=True)
@@ -112,13 +128,15 @@ def find_connected_components(
     A volume is taken through ``Foreground.from_mask``, which requires
     0/1 voxels.
 
-    The foreground is cut into maximal x-runs, and the graph of touching
-    runs is labelled, so the cost follows the number of runs. Labels are
-    assigned deterministically: components are numbered 1..N by their
-    minimum voxel in lexicographic (z, y, x) order. A voxel is on the
-    surface when fewer than 6 of its face neighbours are foreground, the
-    grid edge counting as outside; face neighbours always share a lesion,
-    so this is each lesion's own surface at every connectivity.
+    The foreground is cut into maximal x-runs, and a union of the touching
+    runs roots each component at its first run in scan order, so the cost
+    follows the number of runs. Labels are assigned deterministically:
+    components are numbered 1..N in the order of their roots, which is the
+    order of their minimum voxel in lexicographic (z, y, x) order. A voxel
+    is on the surface when fewer than 6 of its face neighbours are
+    foreground, the grid edge counting as outside; face neighbours always
+    share a lesion, so this is each lesion's own surface at every
+    connectivity.
     """
     if connectivity not in _ROWS:
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity}")
@@ -134,15 +152,18 @@ def find_connected_components(
     k0 = (z * (ny + 2) + rest // nx + 1) * (nx + 2) + rest % nx + 1
     k1 = k0 + length - 1
     sy, sz = nx + 2, (nx + 2) * (ny + 2)  # key steps to the next row in y and in z
-    surface = _surface(first, length, k0, k1, (sy, sz))
+    faces = [(step, _touching(k0, k1, step, 0)) for step in (sy, sz)]
+    surface = _surface(first, length, k0, k1, faces)
     rows = [(dy * sy + dz * sz, slack) for dy, dz, slack in _ROWS[connectivity]]
-    comp = _run_components(k0, k1, rows)
+    # at connectivity 6 the face rows' pairs are all the touching runs
+    pairs = [p for _, p in faces] if connectivity == 6 else [_touching(k0, k1, *r) for r in rows]
+    src, dst = map(np.concatenate, zip(*pairs))
+    del faces, pairs  # no array of the graph outlives its last use
+    comp = _run_components(k0.size, src, dst)
+    del src, dst
 
-    # number components 1..N by their first run in scan order
-    _, lead = np.unique(comp, return_index=True)
-    number = np.empty(lead.size, np.int32)
-    number[np.argsort(lead)] = np.arange(1, lead.size + 1, dtype=np.int32)
-    run_label = number[comp]
+    # a component's root is its first run in scan order: number the roots 1..N
+    run_label = np.cumsum(comp == np.arange(comp.size), dtype=np.int32)[comp]
     labels = np.repeat(run_label, length)
 
     sizes = np.bincount(labels)[1:]

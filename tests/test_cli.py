@@ -274,8 +274,9 @@ def test_bad_nifti_header_fails_one_sample(tmp_path, capsys):
 
 
 def test_cli_import_loads_no_ndimage_or_synth():
-    # import budget: evaluate needs neither scipy.ndimage nor the synthetic
-    # case generator, and importing them costs setup time on every run
+    # import budget: evaluate needs neither scipy.ndimage, nor scipy's graph
+    # labeller with the sparse linear algebra it pulls in, nor the synthetic
+    # case generator, and importing them costs setup time and memory on every run
     import subprocess
     import sys
 
@@ -285,7 +286,8 @@ def test_cli_import_loads_no_ndimage_or_synth():
     code = (
         "import sys, lesioneval.cli; "
         "print(sorted(m for m in sys.modules "
-        "if m.startswith('scipy.ndimage') or m == 'lesioneval.synth'))"
+        "if m.startswith(('scipy.ndimage', 'scipy.sparse.csgraph', 'scipy.sparse.linalg')) "
+        "or m == 'lesioneval.synth'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,

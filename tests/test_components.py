@@ -1,10 +1,15 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from conftest import lesion_boxes, lesion_voxel_sets, mask_from_voxels, random_blob_mask
-from lesioneval.components import find_connected_components
+from lesioneval.components import _run_components, find_connected_components
 from lesioneval.errors import NotBinary
 from oracles import erosion_surface, flood_fill_components, scipy_label_components
 from lesioneval.volume import Foreground, Volume
@@ -151,20 +156,72 @@ def test_labeller_memory_budget():
     assert peak < 100 * fg.index.size
 
 
-def test_numbering_does_not_rest_on_the_graph_labeller(rng, monkeypatch):
-    # scipy does not document the order of its component labels, so a
-    # labeller that numbers them backwards must give the same lesions
-    from lesioneval import components
+@st.composite
+def _run_graphs(draw):
+    """A run count and an edge list: random (with self-loops and repeats), a
+    shuffled path or a star, with some edges repeated and every edge's two
+    ends in random order."""
+    n = draw(st.integers(1, 400))
+    node = st.integers(0, n - 1)
+    kind = draw(st.sampled_from(["random", "path", "star"]))
+    if kind == "random":
+        edges = draw(st.lists(st.tuples(node, node), max_size=2 * n))
+    elif kind == "path":
+        walk = draw(st.permutations(range(n)))
+        edges = list(zip(walk, walk[1:]))
+    else:
+        centre = draw(node)
+        edges = [(centre, leaf) for leaf in draw(st.lists(node, max_size=n))]
+    edges += draw(st.lists(st.sampled_from(edges), max_size=20)) if edges else []
+    src, dst = np.array(draw(st.permutations(edges)), dtype=np.intp).reshape(-1, 2).T
+    flip = np.array(draw(st.lists(st.booleans(), min_size=src.size, max_size=src.size)), bool)
+    return n, np.where(flip, dst, src), np.where(flip, src, dst)
 
-    real = components.connected_components
 
-    def backwards(graph, directed):
-        n, labels = real(graph, directed=directed)
-        return n, (n - 1 - labels).astype(labels.dtype)
+@settings(max_examples=300, deadline=None)
+@given(_run_graphs())
+def test_run_union_names_each_component_by_its_smallest_run(graph):
+    # scipy's graph labeller is the oracle for which runs share a component;
+    # the union must name each component by its smallest run
+    n, src, dst = graph
+    graph = coo_array((np.ones(src.size, np.int8), (src, dst)), shape=(n, n))
+    comp = connected_components(graph, directed=False)[1]
+    smallest = np.full(comp.max() + 1, n)
+    np.minimum.at(smallest, comp, np.arange(n))
+    assert np.array_equal(_run_components(n, src, dst), smallest[comp])
 
-    monkeypatch.setattr(components, "connected_components", backwards)
-    data = random_blob_mask(rng, (12, 12, 12), 0.3).data
-    assert len(_assert_matches_scipy(data, 6)) > 3
+
+def _snake(heights, ny):
+    """A one-voxel-wide boustrophedon in z = 0 of a grid ``ny`` rows deep:
+    pair j of columns along y is joined at the top in row ``heights[j]``, and
+    each pair to the next at the bottom row."""
+    k = len(heights)
+    arr = np.zeros((4 * k - 1, ny, 2), dtype=np.uint8)
+    for j, h in enumerate(heights):
+        arr[4 * j : 4 * j + 3, h, 0] = 1
+        arr[4 * j, h:, 0] = arr[4 * j + 2, h:, 0] = 1
+    for j in range(k - 1):
+        arr[4 * j + 2 : 4 * j + 5, -1, 0] = 1
+    return arr
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_snake_is_one_lesion(connectivity):
+    # along the snake, the column pairs' tops, where each hook round leaves
+    # its roots, come in bit-reversed scan order, so a round hooks only every
+    # other top onto a neighbour's: the union takes 1 + log2(8) rounds
+    snake = _snake([0, 4, 2, 6, 1, 5, 3, 7], 10)
+    for axes in itertools.permutations(range(3)):
+        assert len(_assert_matches_scipy(snake.transpose(axes), connectivity)) == 1
+
+
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+def test_checkerboard_of_one_voxel_lesions(connectivity):
+    # no two voxels of a checkerboard share a face, but every voxel shares
+    # edges with its diagonal neighbours
+    board = (np.indices((9, 8, 7)).sum(axis=0) % 2 == 0).astype(np.uint8)
+    ls = _assert_matches_scipy(board, connectivity)
+    assert len(ls) == (board.sum() if connectivity == 6 else 1)
 
 
 def test_diagonal_voxels_by_connectivity():
