@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import Foreground, Volume
+from .volume import Foreground, Volume, index_dtype
 
 # connectivity -> the rows (dy, dz) after a run's own in scan order, each with the
 # x slack within which their runs touch it: each touching pair is seen once
@@ -17,13 +17,17 @@ _ROWS = {
 
 
 def _ranges(start: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """The ranges ``start[i] .. start[i] + count[i] - 1``, concatenated."""
-    return np.repeat(start - np.cumsum(count) + count, count) + np.arange(count.sum())
+    """The ranges ``start[i] .. start[i] + count[i] - 1``, concatenated, in
+    the dtype of both."""
+    at = np.repeat(start - np.cumsum(count, dtype=start.dtype) + count, count)
+    return at + np.arange(at.size, dtype=at.dtype)
 
 
 def _touching(k0: np.ndarray, k1: np.ndarray, step: int, slack: int):
     """Each pair (a, b) of runs, b ``step`` keys on from a's row, whose x spans
-    are at most ``slack`` apart; two binary searches of the run ends find b."""
+    are at most ``slack`` apart; two binary searches of the run ends find b.
+    The run lists stay intp: the union gathers with them, and numpy would
+    copy any narrower index array to intp on every gather."""
     lo = np.searchsorted(k1, k0 + step - slack)
     n = np.searchsorted(k0, k1 + step + slack, side="right") - lo
     return np.repeat(np.arange(k0.size), n), _ranges(lo, n)
@@ -64,8 +68,8 @@ def _run_components(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     while src.size:
         src, dst = label[src], label[dst]  # each edge's two roots
         cross = src != dst
-        src, dst = np.minimum(src, dst)[cross], np.maximum(src, dst)[cross]
-        label[dst] = src  # any smaller root will do
+        src, dst = src[cross], dst[cross]
+        label[np.maximum(src, dst)] = np.minimum(src, dst)  # any smaller root will do
         while not np.array_equal(jumped := label[label], label):
             label = jumped
     return label
@@ -89,6 +93,7 @@ class LesionSet:
     surface: np.ndarray  # bool: the voxel has a 6-neighbour outside the mask
     order: np.ndarray  # positions grouped by lesion, ascending in each group
     starts: np.ndarray  # lesion k's group is order[starts[k-1]:starts[k]]
+    # index, order and starts are in index_dtype(shape)
 
     def __len__(self) -> int:
         return self.starts.size - 1
@@ -141,14 +146,17 @@ def find_connected_components(
     if connectivity not in _ROWS:
         raise ValueError(f"connectivity must be 6, 18 or 26, got {connectivity}")
     fg = Foreground.from_mask(mask) if isinstance(mask, Volume) else mask
-    idx = fg.index
+    dtype = index_dtype(fg.dims)
+    idx = fg.index.astype(dtype, copy=False)
     nx, ny, nz = fg.dims
     # maximal x-runs, keyed by first and last voxel on a grid padded by one
-    # voxel per side in x and y, so no step to another row, nor a slack, wraps
-    i64 = idx.astype(np.int64, copy=False)
-    first = np.flatnonzero((np.diff(i64, prepend=-1) != 1) | (i64 % nx == 0))
-    length = np.diff(first, append=idx.size)
-    z, rest = np.divmod(i64[first], nx * ny)
+    # voxel per side in x and y, so no step to another row, nor a slack, wraps;
+    # a bare int prepended or appended would widen each diff to int64
+    first = np.flatnonzero(
+        (np.diff(idx, prepend=dtype.type(-1)) != 1) | (idx % nx == 0)
+    ).astype(dtype)
+    length = np.diff(first, append=dtype.type(idx.size))
+    z, rest = np.divmod(idx[first], nx * ny)
     k0 = (z * (ny + 2) + rest // nx + 1) * (nx + 2) + rest % nx + 1
     k1 = k0 + length - 1
     sy, sz = nx + 2, (nx + 2) * (ny + 2)  # key steps to the next row in y and in z
@@ -167,7 +175,8 @@ def find_connected_components(
     labels = np.repeat(run_label, length)
 
     sizes = np.bincount(labels)[1:]
-    starts = np.concatenate([[0], np.cumsum(sizes)])
+    starts = np.zeros(sizes.size + 1, dtype)
+    np.cumsum(sizes, out=starts[1:])
     runs = np.argsort(run_label, kind="stable")
     order = _ranges(first[runs], length[runs])
     return LesionSet((nx, ny, nz), idx, labels, surface, order, starts)

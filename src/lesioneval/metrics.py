@@ -9,6 +9,7 @@ from scipy.spatial import cKDTree
 
 from .components import LesionSet
 from .matching import MatchSet, Overlap, intersect_sorted, iou_counts
+from .volume import GRID_PAD, index_dtype
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ class SurfaceDistances:
     pred: NearestSurface  # predicted surface to GT surface
 
 
-_BOX = 3  # the ring search probes offsets of up to this many voxels per axis
+_BOX = GRID_PAD  # the ring search probes offsets of up to this many voxels per axis
 _BLOCK = 4096  # open voxels probed together: bounds each shell's matrix of probes
 
 
@@ -158,13 +159,14 @@ def _padded_keys(ls: LesionSet, pos: np.ndarray) -> np.ndarray:
     No offset of the box wraps a row or leaves the padded grid, so a key
     plus an offset's key is the key of the voxel at that offset. Taken from
     the linear index: ``i // nx`` counts the rows before the voxel and
-    ``i // (nx * ny)`` the slices, and each adds its padding.
+    ``i // (nx * ny)`` the slices, and each adds its padding. The keys are
+    in ``index_dtype``, which that padded grid sets.
     """
     nx, ny, _ = ls.shape
-    i = ls.index[pos].astype(np.int64)
+    i = ls.index[pos].astype(index_dtype(ls.shape), copy=False)
     pad = 2 * _BOX
     rows, slices = i // nx, i // (nx * ny)
-    return i + pad * rows + pad * (nx + pad) * slices + _BOX * _steps(ls.shape).sum()
+    return i + pad * rows + pad * (nx + pad) * slices + _BOX * int(_steps(ls.shape).sum())
 
 
 def _nearest_surface(
@@ -186,20 +188,23 @@ def _nearest_surface(
     ``dst`` shell by shell, ``_BLOCK`` voxels at a time, each distance
     computed as the kd-tree does, until a shell settles fewer than half of
     those still open; the kd-tree takes the rest. Grid coordinates are
-    unravelled only for the probes that hit and for the kd-tree.
+    unravelled only for the probes that hit and for the kd-tree. Each
+    shift takes the keys' dtype: a wider one would make every search cast
+    all of ``d_key``.
     """
     dist, near = np.zeros(s_pos.size), np.zeros(s_pos.size, np.int32)
     near[s_shared] = dst.label[d_pos[d_shared]]
-    q = np.delete(np.arange(s_pos.size), s_shared)
+    q = np.delete(np.arange(s_pos.size, dtype=s_pos.dtype), s_shared)
     if d_pos.size == 0:
         dist[:] = np.inf
     elif q.size:
         dist[q] = np.inf
-        row, step, todo = np.zeros(s_pos.size, np.intp), _steps(src.shape), q
+        row, step, todo = np.zeros(s_pos.size, s_pos.dtype), _steps(src.shape), q
         # settled: nearer than the next shell by more than rounding can move either
         margin = 16 * np.finfo(float).eps * (max(src.shape) + _BOX + 1) * sp.max()
         for off, bound in _shells(tuple(sp.tolist())):
-            shift, done = (off @ step)[:, None], np.empty(todo.size, bool)
+            shift = (off @ step).astype(s_key.dtype)[:, None]
+            done = np.empty(todo.size, bool)
             for lo in range(0, todo.size, _BLOCK):
                 b = todo[lo : lo + _BLOCK]
                 t = shift + s_key[b]
@@ -239,7 +244,7 @@ def surface_distances(
     whole surface.
     """
     sp = np.asarray(spacing, dtype=float)
-    g_pos, p_pos = np.flatnonzero(gt.surface), np.flatnonzero(pred.surface)
+    g_pos, p_pos = (np.flatnonzero(ls.surface).astype(ls.index.dtype) for ls in (gt, pred))
     g_key, p_key = _padded_keys(gt, g_pos), _padded_keys(pred, p_pos)
     g_shared, p_shared = intersect_sorted(g_key, p_key)
     return SurfaceDistances(
@@ -302,9 +307,9 @@ def compute_lesion_metrics(
     for name, i, ls in (("gt_id", g_ids, gt), ("pred_id", p_ids, pred)):
         if np.unique(i).size < n or np.any((i < 1) | (i > len(ls))):
             raise ValueError(f"each {name} must be in 1..{len(ls)} and matched once")
-    g_pair = np.full(len(gt) + 1, -1, np.intp)
+    g_pair = np.full(len(gt) + 1, -1, gt.index.dtype)
     g_pair[g_ids] = np.arange(n)
-    p_pair = np.full(len(pred) + 1, -1, np.intp)
+    p_pair = np.full(len(pred) + 1, -1, pred.index.dtype)
     p_pair[p_ids] = np.arange(n)
 
     k = g_pair[ov.gt_id]

@@ -22,7 +22,7 @@ import zlib
 import numpy as np
 
 from .errors import BadMagic, IoFailure, Not3D, TruncatedFile, UnsupportedDatatype
-from .volume import Foreground, Volume, above, binarize
+from .volume import Foreground, Volume, above, binarize, index_dtype
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352  # 348-byte header + 4-byte empty extension indicator
@@ -254,7 +254,8 @@ def read_foreground(path: str, threshold: float = 0.5) -> Foreground:
 
     Equal to ``flatnonzero(read_volume(path).data.T > threshold)``: NIfTI's
     x-fastest voxel order is the z-major scan order, so each chunk's hits,
-    offset by the chunk's first voxel, extend the ascending index.
+    offset by the chunk's first voxel, extend the ascending index. Each
+    chunk's hits are cast to the grid's ``index_dtype`` on their own.
     """
     path = str(path)
     if path.endswith(".json"):
@@ -262,8 +263,10 @@ def read_foreground(path: str, threshold: float = 0.5) -> Foreground:
     with _VoxelSource(path) as src:
         # one mask for every chunk: a fresh one per chunk costs more than the compare
         mask = np.empty(max(CHUNK_BYTES // src.dtype.itemsize, 1), bool)
+        dtype = index_dtype(src.dims)
         hits = [
-            np.flatnonzero(above(chunk, threshold, path, mask[: chunk.size])) + first
+            np.flatnonzero(above(chunk, threshold, path, mask[: chunk.size])).astype(dtype)
+            + first
             for first, chunk in src.chunks()
         ]
     return Foreground(np.concatenate(hits), src.dims, src.spacing)

@@ -10,6 +10,18 @@ import numpy as np
 from .errors import DimsMismatch, NanVoxels, NotBinary, SpacingMismatch
 
 SPACING_RTOL = 1e-4
+GRID_PAD = 3  # voxels a side of the widest padded grid the pipeline keys (the ring search's)
+
+
+def index_dtype(dims) -> np.dtype:
+    """The dtype of every voxel index, key and position on a grid of ``dims``.
+
+    int32 when each key of the widest padded grid the pipeline forms,
+    ``GRID_PAD`` voxels a side, fits in it, int64 otherwise. Every such
+    array is bounded by that grid's size, so no computation in it overflows.
+    """
+    nx, ny, nz = (int(d) + 2 * GRID_PAD for d in dims)
+    return np.dtype(np.int32 if nx * ny * nz <= np.iinfo(np.int32).max else np.int64)
 
 
 def _checked_spacing(spacing) -> tuple[float, ...]:
@@ -86,7 +98,7 @@ class Foreground:
             raise NotBinary(
                 f"mask contains values other than 0/1: {np.unique(vals[bad])[:10]}"
             )
-        return cls(idx, mask.dims, mask.spacing)
+        return cls(idx.astype(index_dtype(mask.dims)), mask.dims, mask.spacing)
 
 
 def above(

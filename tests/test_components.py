@@ -133,17 +133,24 @@ def test_one_voxel_runs_when_nx_is_1(rng, connectivity):
 
 @pytest.mark.parametrize("connectivity", [6, 18, 26])
 def test_array_dtypes(rng, connectivity):
+    # on a grid whose padded keys fit in int32, the index, positions and lesion
+    # starts are int32 whatever the dtype of the foreground's index (the
+    # int64 side is in test_index_dtype.py); labels are int32 on every grid
     for data in (random_blob_mask(rng, (9, 8, 7), 0.3).data, np.zeros((3, 3, 3), np.uint8)):
-        ls = _assert_matches_scipy(data, connectivity)
-        assert ls.label.dtype == np.int32
-        assert ls.order.dtype == np.intp
-        assert ls.starts.dtype == np.int64
-        assert ls.surface.dtype == bool
+        fg = Foreground.from_mask(Volume(data, (1.0, 1.0, 1.0)))
+        assert fg.index.dtype == np.int32
+        wide = Foreground(fg.index.astype(np.int64), fg.dims, fg.spacing)
+        narrow = _assert_matches_scipy(data, connectivity)
+        for ls in (narrow, find_connected_components(wide, connectivity)):
+            assert ls.label.dtype == np.int32
+            assert ls.index.dtype == ls.order.dtype == ls.starts.dtype == np.int32
+            assert ls.surface.dtype == bool
 
 
 def test_labeller_memory_budget():
     # the labeller's transient arrays follow its runs and touching pairs, not
-    # its voxels: this mask needs about 58 bytes a voxel at connectivity 26
+    # its voxels, and its index, keys and order are int32: this mask needs
+    # about 52 bytes a voxel at connectivity 26
     data = random_blob_mask(np.random.default_rng(7), (64, 64, 64), 0.4).data
     fg = Foreground.from_mask(Volume(data, (1.0, 1.0, 1.0)))
     assert 90_000 < fg.index.size < 120_000
@@ -153,7 +160,7 @@ def test_labeller_memory_budget():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100 * fg.index.size
+    assert peak < 57 * fg.index.size
 
 
 @st.composite

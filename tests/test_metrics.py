@@ -646,7 +646,8 @@ def test_ring_search_settles_or_falls_back(kd_trees, rng, shift, trees):
 def test_surface_distances_memory_budget(spacing):
     # the ring search probes in fixed blocks and unravels coordinates only
     # for its hits and the kd-tree, so its transient arrays follow the
-    # surface: these masks need about 71 and 67 bytes a surface voxel
+    # surface, and its positions and keys are int32: these masks need about
+    # 58 and 54 bytes a surface voxel
     gt, pred = (
         find_connected_components(random_blob_mask(np.random.default_rng(s), (64,) * 3, 0.4))
         for s in (7, 8)
@@ -659,7 +660,34 @@ def test_surface_distances_memory_budget(spacing):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 110 * n
+    assert peak < 64 * n
+
+
+@pytest.mark.parametrize("variant", ["pooled", "max-of-directed"])
+def test_lesion_metrics_memory_budget(variant):
+    # the masks of the budget above, matched at tau 0: their two pairs hold
+    # nearly every surface voxel, so every per-voxel array of the pair stage
+    # (pair keys, distances, the grouped sort, the partners' kd-trees) is as
+    # large as it gets; they need about 41 bytes a surface voxel
+    gt, pred = (
+        find_connected_components(random_blob_mask(np.random.default_rng(s), (64,) * 3, 0.4))
+        for s in (7, 8)
+    )
+    n = int(gt.surface.sum() + pred.surface.sum())
+    ov = overlap(gt, pred)
+    matches = match_lesions(gt, pred, ov, tau=0.0).matches
+    kept = sum(
+        int(gt.surface[gt.run(g)].sum() + pred.surface[pred.run(p)].sum()) for g, p, _ in matches
+    )
+    assert kept > 0.9 * n
+    d = surface_distances(gt, pred, (1.0, 1.0, 1.0))
+    tracemalloc.start()
+    try:
+        compute_lesion_metrics(gt, pred, ov, matches, d, variant)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 45 * n
 
 
 # distances with many ties: a few repeated values mixed with arbitrary ones
