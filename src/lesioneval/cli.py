@@ -33,29 +33,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_eval_flags(p: argparse.ArgumentParser) -> None:
-    d = RunConfig()
-    p.add_argument("--tau", type=float, default=d.tau, help="IoU match threshold")
-    p.add_argument(
-        "--connectivity", type=int, choices=(6, 18, 26), default=d.connectivity
-    )
-    p.add_argument(
-        "--distance-units", choices=("mm", "voxels"), default=d.distance_units
-    )
-    p.add_argument(
-        "--hd95-variant", choices=("pooled", "max-of-directed"),
-        default=d.hd95_variant,
-    )
-    p.add_argument(
-        "--threshold", type=float, default=d.binarize_threshold,
-        help="binarize threshold",
-    )
-    p.add_argument("--out", default="lesioneval-out", help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="samples evaluated at once")
-    p.add_argument("--format", choices=("json", "csv", "both"), default="both")
-
-
 def build_parser() -> argparse.ArgumentParser:
+    d = RunConfig()
     parser = _Parser(
         prog="lesioneval",
         description="Lesion-wise evaluation of 3D binary segmentation masks",
@@ -67,14 +46,23 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--manifest", help="CSV with sample_id,gt_path,pred_path")
     ev.add_argument("--gt", help="single-pair mode: ground-truth mask")
     ev.add_argument("--pred", help="single-pair mode: predicted mask")
-    _add_eval_flags(ev)
+    ev.add_argument("--tau", type=float, default=d.tau, help="IoU match threshold")
+    ev.add_argument("--connectivity", type=int, choices=(6, 18, 26), default=d.connectivity)
+    ev.add_argument("--distance-units", choices=("mm", "voxels"), default=d.distance_units)
+    ev.add_argument(
+        "--hd95-variant", choices=("pooled", "max-of-directed"), default=d.hd95_variant
+    )
+    ev.add_argument(
+        "--threshold", type=float, default=d.binarize_threshold, help="binarize threshold"
+    )
+    ev.add_argument("--out", default="lesioneval-out", help="output directory")
+    ev.add_argument("--jobs", type=int, default=1, help="samples evaluated at once")
+    ev.add_argument("--format", choices=("json", "csv", "both"), default="both")
     ev.set_defaults(run=_cmd_evaluate)
 
     ins = sub.add_parser("inspect", help="summarize one mask volume")
     ins.add_argument("volume")
-    ins.add_argument(
-        "--threshold", type=float, default=RunConfig().binarize_threshold
-    )
+    ins.add_argument("--threshold", type=float, default=d.binarize_threshold)
     ins.set_defaults(run=_cmd_inspect)
     return parser
 

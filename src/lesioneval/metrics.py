@@ -362,27 +362,15 @@ def compute_instance_metrics(m: MatchSet) -> DetectionCounts:
     return DetectionCounts(tp, fp, fn, precision, recall, f1)
 
 
-def _c_ordered(ls: LesionSet, ns: NearestSurface) -> np.ndarray:
-    """The distances of ``ns`` with their voxels in C [x, y, z] order.
-
-    Each voxel's C index ``(x * ny + y) * nz + z`` comes from its linear
-    index; the indices are unique, so the order is the coordinates' order.
-    """
-    nx, ny, nz = ls.shape
-    z, rest = np.divmod(ls.index[ns.pos], nx * ny)
-    y, x = np.divmod(rest, nx)
-    return ns.dist[np.argsort((x * ny + y) * nz + z)]
-
-
 def compute_image_metrics(
     gt: LesionSet, pred: LesionSet, ov: Overlap, hd95_variant: str, distances: SurfaceDistances
 ) -> ImageMetrics:
     """Voxel-wise Dice plus whole-foreground HD95 and ASSD of two masks.
 
     Works from the two foregrounds and their overlap table alone. The
-    labeller's surface flags are those of whole-mask erosion, and the
-    distances from ``distances`` are put in C order of their voxels, so
-    they and their sums match the whole-grid computation bit for bit.
+    labeller's surface flags are those of whole-mask erosion. The
+    distances are read as ``distances`` holds them, in the scan order of
+    their voxels; neither HD95 depends on that order, and ASSD sums in it.
 
     Distances are None when either foreground is empty; Dice is None only
     when both are empty.
@@ -391,8 +379,7 @@ def compute_image_metrics(
     voxel_dice = _dice_counts(int(ov.inter.sum()), n_g, n_p)
     voxel_hd95 = assd_mm = None
     if n_g > 0 and n_p > 0:
-        d_gp = _c_ordered(gt, distances.gt)
-        d_pg = _c_ordered(pred, distances.pred)
+        d_gp, d_pg = distances.gt.dist, distances.pred.dist
         voxel_hd95 = _hd95_one(d_gp, d_pg, hd95_variant)
         assd_mm = float(np.concatenate([d_gp, d_pg]).mean())
     return ImageMetrics(voxel_dice, voxel_hd95, assd_mm, n_g, n_p)

@@ -214,12 +214,12 @@ def _read_nifti(path: str) -> Volume:
 
 def _read_json_fixture(path: str) -> Volume:
     try:
-        with open(path) as f:
-            text = f.read()
+        with open(path, "rb") as f:
+            raw = f.read()
     except OSError as e:
         raise IoFailure(f"cannot read {path}: {e}") from e
     try:
-        obj = json.loads(text)
+        obj = json.loads(raw)  # bytes that are not UTF-8 (-16, -32) raise UnicodeDecodeError
         dims = tuple(obj["dims"])
         spacing = tuple(obj["spacing"])
         if not all(type(s) in (int, float) for s in spacing):
@@ -233,6 +233,10 @@ def _read_json_fixture(path: str) -> Volume:
         raise BadMagic(f"{path}: dims and spacing need three entries each")
     if not all(type(d) is int for d in dims):
         raise BadMagic(f"{path}: dims {list(dims)} must be integers")
+    if min(dims) < 1:
+        raise BadMagic(f"{path}: dims {list(dims)} must be >= 1")
+    if not all(math.isfinite(s) and s > 0 for s in spacing):
+        raise BadMagic(f"{path}: spacing {list(spacing)} must be positive and finite")
     if flat.ndim != 1 or flat.dtype.kind not in "biuf":
         raise BadMagic(f"{path}: data must be a flat list of numbers")
     if flat.size != dims[0] * dims[1] * dims[2]:

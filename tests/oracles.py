@@ -203,7 +203,9 @@ def whole_grid_image_metrics(
 
     Erodes and scans the whole grid, as the image metrics did before they
     worked from lesion boxes; kept so the box-based path can be compared
-    with it exactly.
+    with it exactly. Each surface is listed in (z, y, x) scan order, the
+    order of the foreground indices, so ASSD sums the same distances in
+    the same order.
     """
     g, p = gt != 0, pred != 0
     n_g, n_p = int(g.sum()), int(p.sum())
@@ -211,8 +213,8 @@ def whole_grid_image_metrics(
     if n_g == 0 or n_p == 0:
         return dice, None, None, n_g, n_p
     sp = np.asarray(spacing, dtype=float)
-    a = erosion_surface(g) * sp
-    b = erosion_surface(p) * sp
+    a = erosion_surface(g.T)[:, ::-1] * sp
+    b = erosion_surface(p.T)[:, ::-1] * sp
     d_ab = np.atleast_1d(cKDTree(b).query(a, k=1)[0])
     d_ba = np.atleast_1d(cKDTree(a).query(b, k=1)[0])
     pooled = np.concatenate([d_ab, d_ba])

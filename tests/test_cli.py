@@ -8,8 +8,8 @@ import pytest
 
 from conftest import random_blob_mask
 from lesioneval.cli import main
-from lesioneval.errors import ManifestParseError
-from lesioneval.nifti import write_volume
+from lesioneval.errors import BadMagic, ManifestParseError
+from lesioneval.nifti import read_foreground, read_volume, write_volume
 from lesioneval.pipeline import RunConfig, read_manifest
 from lesioneval.synth import SynthParams, generate_case
 
@@ -247,6 +247,37 @@ def test_malformed_json_fixture_fails_one_sample(tmp_path, capsys):
     assert summary["samples"] == ["good"]
     assert [f["sample_id"] for f in summary["failures"]] == ["bad"]
     assert "FAILED bad" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        b'{"dims": [0, 5, 1], "spacing": [1, 1, 1], "data": []}',
+        b'{"dims": [-1, -1, 1], "spacing": [1, 1, 1], "data": [1]}',
+        b'{"dims": [2, 1, 1], "spacing": [0, 1, 1], "data": [1, 0]}',
+        b'{"dims": [2, 1, 1], "spacing": [-1, 1, 1], "data": [1, 0]}',
+        b'{"dims": [2, 1, 1], "spacing": [1, NaN, 1], "data": [1, 0]}',
+        b'{"dims": [2, 1, 1], "spacing": [1, 1, 1], "data": [1, 0], "note": "\xff"}',
+    ],
+    ids=["dims-0", "dims-two-unknown", "spacing-0", "spacing-negative", "spacing-nan",
+         "not-utf8"],
+)
+def test_json_fixture_bad_values_are_bad_magic(tmp_path, capsys, raw):
+    # each used to escape the reader as a bare ValueError or UnicodeDecodeError:
+    # inspect ended in a traceback and evaluate failed the sample under that class
+    p = tmp_path / "m.json"
+    p.write_bytes(raw)
+    for read in (read_volume, read_foreground):
+        with pytest.raises(BadMagic):
+            read(str(p))
+    capsys.readouterr()
+    assert main(["inspect", str(p)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("BadMagic: ")
+    out = tmp_path / "out"
+    assert main(["evaluate", "--gt", str(p), "--pred", str(p), "--out", str(out)]) == 2
+    (failure,) = json.loads((out / "summary.json").read_text())["failures"]
+    assert failure["reason"].startswith("BadMagic: ")
 
 
 def test_bad_nifti_header_fails_one_sample(tmp_path, capsys):

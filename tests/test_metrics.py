@@ -690,6 +690,28 @@ def test_lesion_metrics_memory_budget(variant):
     assert peak < 45 * n
 
 
+@pytest.mark.parametrize("variant", ["pooled", "max-of-directed"])
+def test_image_metrics_memory_budget(variant):
+    # the masks of the budgets above: the image metrics read the distances
+    # in the order they come, so beyond the result they copy each float at
+    # most twice (the pooled distances and their partition); they need
+    # about 16 bytes a surface voxel pooled and 8 max-of-directed
+    gt, pred = (
+        find_connected_components(random_blob_mask(np.random.default_rng(s), (64,) * 3, 0.4))
+        for s in (7, 8)
+    )
+    n = int(gt.surface.sum() + pred.surface.sum())
+    ov = overlap(gt, pred)
+    d = surface_distances(gt, pred, (1.0, 1.0, 1.0))
+    tracemalloc.start()
+    try:
+        compute_image_metrics(gt, pred, ov, variant, d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 18 * n
+
+
 # distances with many ties: a few repeated values mixed with arbitrary ones
 _distances = st.one_of(
     st.sampled_from([0.0, 1.0, 1.5, 2.0, 3.0]),

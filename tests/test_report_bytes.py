@@ -29,14 +29,14 @@ SEEDS = (0, 3)
 
 # (hd95 variant, distance units, connectivity) -> SHA-256 of the report tree
 PINNED = {
-    ("pooled", "mm", "6"): "34c3ee024240cad54f6109a1030c636c6e419ea1cf71ad683b63038934e86d8b",
-    ("pooled", "mm", "26"): "67c98f135c5d41915e7e16a4c1abc3c0012ee9121fd688311a229abde4498950",
-    ("pooled", "voxels", "6"): "452e5682379cb7538880a24c43c3cb328cd6681f048ecec0ad9172aa0c5f32e2",
-    ("pooled", "voxels", "26"): "34a34beb47a98862bf8a2416ebd018e6132ef152831e5e92d92ae45d6231bccc",
-    ("max-of-directed", "mm", "6"): "66d31abc8f8300ed7ac056f3c947aee0f69d3924f67faf7d6580fda56bbb2846",
-    ("max-of-directed", "mm", "26"): "fadafa66634ec363c6ba50f51a98c2354659a4eade0afeb28f9765640c7423f4",
-    ("max-of-directed", "voxels", "6"): "87752bba1f579e1ce95f51d23409ecc54803749618342525e8f2f677640361f3",
-    ("max-of-directed", "voxels", "26"): "bf80f08fc4c3baae4f6db304db5762f1cfb6bfdf443c88a08d0d52be3aab82e0",
+    ("pooled", "mm", "6"): "f4af033ff5e7fefe58be2e7c5fc4701c85437606a0d300e11e6d85575cad6b93",
+    ("pooled", "mm", "26"): "b5db1b9291489e82a96240f147b37afccd07769cd1d1787c3a2568471e976b65",
+    ("pooled", "voxels", "6"): "8e472ece58361c24226a2d6db445201d9af5b047790470b0584cfa5879f1da84",
+    ("pooled", "voxels", "26"): "e94a35ba4b8be7e4db6bba34eb2def38d9dd577e4184cc748b7ef6d009821edf",
+    ("max-of-directed", "mm", "6"): "976c9b7b48dae90a23ae8d0446bcea93a83cf57362c4903d6c0001b0aac48154",
+    ("max-of-directed", "mm", "26"): "d2e8cb7b3cc0c7dd41c9f2162c789e9bc50e6300a21add32fdd56337118ef759",
+    ("max-of-directed", "voxels", "6"): "9af5715c195a67ac8803083f643e9ffe79cced52c8b7a0c9c609c241822aefea",
+    ("max-of-directed", "voxels", "26"): "17f9bbb9d615d4dca4aa1f8fc65cd0cdee5d83b353abc96fb5df7fd38dc9f8df",
 }
 
 
