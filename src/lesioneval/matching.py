@@ -33,6 +33,11 @@ def iou_counts(inter: int, na: int, nb: int) -> float:
     return inter / (na + nb - inter)
 
 
+def dice_counts(inter: int, na: int, nb: int) -> float:
+    """Dice of two voxel sets, not both empty, from sizes and overlap; elementwise on arrays."""
+    return 2.0 * inter / (na + nb)
+
+
 def intersect_sorted(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions in ``a`` and in ``b`` of the values both hold; both strictly ascending."""
     if a.size > b.size:  # search the shorter in the longer: no take from an empty b

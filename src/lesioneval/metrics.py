@@ -8,21 +8,35 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .components import LesionSet
-from .matching import MatchSet, Overlap, intersect_sorted, iou_counts
+from .matching import MatchSet, Overlap, dice_counts, intersect_sorted, iou_counts
 from .volume import GRID_PAD, index_dtype
 
 
-@dataclass(frozen=True)
-class LesionPairMetrics:
-    gt_id: int
-    pred_id: int
-    dice: float
-    iou: float
-    hd95_mm: float
-    gt_vox: int
-    pred_vox: int
-    volume_error_rel: float  # (pred - gt) / gt
-    size_ratio: float  # pred / gt
+class Columns:
+    """A table held as one array per dataclass field, all of one length."""
+
+    def __len__(self) -> int:
+        return len(next(iter(vars(self).values())))
+
+    def rows(self) -> list[dict]:
+        """Each row as a dict of Python scalars, keyed by field in field order."""
+        names = list(vars(self))
+        return [dict(zip(names, r)) for r in zip(*(c.tolist() for c in vars(self).values()))]
+
+
+@dataclass(frozen=True, eq=False)
+class LesionPairMetrics(Columns):
+    """The matched pairs of one sample, in ``gt_id`` order."""
+
+    gt_id: np.ndarray
+    pred_id: np.ndarray
+    dice: np.ndarray
+    iou: np.ndarray
+    hd95_mm: np.ndarray
+    gt_vox: np.ndarray
+    pred_vox: np.ndarray
+    volume_error_rel: np.ndarray  # (pred - gt) / gt
+    size_ratio: np.ndarray  # pred / gt
 
 
 @dataclass(frozen=True)
@@ -42,13 +56,6 @@ class ImageMetrics:
     assd_mm: float | None
     gt_total_vox: int
     pred_total_vox: int
-
-
-def _dice_counts(inter: int, na: int, nb: int) -> float | None:
-    total = na + nb
-    if total == 0:
-        return None
-    return 2.0 * inter / total
 
 
 def _nearest(
@@ -291,19 +298,19 @@ def compute_lesion_metrics(
     matches: list[tuple[int, int, float]],
     distances: SurfaceDistances,
     hd95_variant: str = "pooled",
-) -> list[LesionPairMetrics]:
+) -> LesionPairMetrics:
     """All per-pair metrics of a sample's matched GT/prediction lesion pairs.
 
-    Returns one ``LesionPairMetrics`` per ``(gt_id, pred_id, iou)`` of
+    Returns one ``LesionPairMetrics`` row per ``(gt_id, pred_id, iou)`` of
     ``matches``, in ``gt_id`` order. Each overlap is looked up in ``ov``
     (0 for a pair not in it), the surface distances come from
     ``distances`` (see ``surface_distances``), and every HD95 from one
     grouped percentile. Raises ``ValueError`` unless ``matches`` is
     one-to-one between existing lesions.
     """
-    ids = sorted((g, p) for g, p, _ in matches)
-    g_ids, p_ids = np.array(ids, np.intp).reshape(-1, 2).T
-    n = len(ids)
+    g_ids, p_ids = (np.fromiter((m[i] for m in matches), np.intp, len(matches)) for i in (0, 1))
+    order = np.argsort(g_ids, kind="stable")
+    g_ids, p_ids, n = g_ids[order], p_ids[order], len(matches)
     for name, i, ls in (("gt_id", g_ids, gt), ("pred_id", p_ids, pred)):
         if np.unique(i).size < n or np.any((i < 1) | (i > len(ls))):
             raise ValueError(f"each {name} must be in 1..{len(ls)} and matched once")
@@ -323,23 +330,12 @@ def compute_lesion_metrics(
         n,
         hd95_variant,
     )
-    out = []
-    gvox, pvox = gt.sizes[g_ids - 1].tolist(), pred.sizes[p_ids - 1].tolist()
-    for (g, p), i, h, gv, pv in zip(ids, inter.tolist(), hd.tolist(), gvox, pvox):
-        out.append(
-            LesionPairMetrics(
-                gt_id=g,
-                pred_id=p,
-                dice=_dice_counts(i, gv, pv),
-                iou=iou_counts(i, gv, pv),
-                hd95_mm=h,
-                gt_vox=gv,
-                pred_vox=pv,
-                volume_error_rel=(pv - gv) / gv,
-                size_ratio=pv / gv,
-            )
-        )
-    return out
+    gv, pv = gt.sizes[g_ids - 1], pred.sizes[p_ids - 1]
+    return LesionPairMetrics(
+        gt_id=g_ids, pred_id=p_ids,
+        dice=dice_counts(inter, gv, pv), iou=iou_counts(inter, gv, pv), hd95_mm=hd,
+        gt_vox=gv, pred_vox=pv, volume_error_rel=(pv - gv) / gv, size_ratio=pv / gv,
+    )
 
 
 def detection_rates(
@@ -376,7 +372,7 @@ def compute_image_metrics(
     when both are empty.
     """
     n_g, n_p = gt.index.size, pred.index.size
-    voxel_dice = _dice_counts(int(ov.inter.sum()), n_g, n_p)
+    voxel_dice = dice_counts(int(ov.inter.sum()), n_g, n_p) if n_g + n_p else None
     voxel_hd95 = assd_mm = None
     if n_g > 0 and n_p > 0:
         d_gp, d_pg = distances.gt.dist, distances.pred.dist

@@ -235,14 +235,14 @@ def _read_json_fixture(path: str) -> Volume:
         raise BadMagic(f"{path}: dims {list(dims)} must be integers")
     if min(dims) < 1:
         raise BadMagic(f"{path}: dims {list(dims)} must be >= 1")
-    if not all(math.isfinite(s) and s > 0 for s in spacing):
-        raise BadMagic(f"{path}: spacing {list(spacing)} must be positive and finite")
     if flat.ndim != 1 or flat.dtype.kind not in "biuf":
         raise BadMagic(f"{path}: data must be a flat list of numbers")
     if flat.size != dims[0] * dims[1] * dims[2]:
         raise TruncatedFile(f"{path}: data length {flat.size} != product of dims {dims}")
-    data = flat.reshape(dims, order="F")
-    return Volume(data, spacing, source_path=path)
+    try:
+        return Volume(flat.reshape(dims, order="F"), spacing, source_path=path)
+    except ValueError as e:  # the spacing: dims and data are checked above
+        raise BadMagic(f"{path}: {e}") from e
 
 
 def read_volume(path: str) -> Volume:

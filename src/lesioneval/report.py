@@ -38,9 +38,9 @@ def _sample_payload(s: SampleResult, config: RunConfig) -> dict:
         "pred_lesions": s.pred_lesions,
         "detection": _row(s.detection),
         "image_metrics": _row(s.image),
-        "matched_pairs": [_row(p) for p in s.pairs],
+        "matched_pairs": s.pairs.rows(),
         "per_bin": {name: _row(s.per_bin[name]) for name in BIN_NAMES},
-        "lesion_records": [_row(r) for r in s.records],
+        "lesion_records": s.records.rows(),
     }
 
 
@@ -126,10 +126,12 @@ def emit_reports(
         raise IoFailure(f"cannot create {out_dir}: {e}") from e
 
     paths: dict[str, str] = {}
+    # lesion_records and lesions.csv are written from the same row lists
+    payloads = [_sample_payload(s, config) for s in samples]
     if want_json:
-        for s in samples:
+        for s, payload in zip(samples, payloads):
             p = os.path.join(out_dir, "samples", f"{s.sample_id}.json")
-            _write_text(p, _dump_json(_sample_payload(s, config)))
+            _write_text(p, _dump_json(payload))
 
     rolled = rollup(samples)
     summary = {
@@ -182,17 +184,8 @@ def emit_reports(
         ["sample_id", "lesion_id", "status", "gt_vox", "pred_vox",
          "size_bin", "dice", "hd95", "size_ratio"]
     )
-    for s in samples:
-        for r in s.records:
-            w.writerow(
-                [s.sample_id, r.lesion_id, r.status,
-                 "" if r.gt_vox is None else r.gt_vox,
-                 "" if r.pred_vox is None else r.pred_vox,
-                 r.size_bin,
-                 "" if r.dice is None else repr(r.dice),
-                 "" if r.hd95 is None else repr(r.hd95),
-                 "" if r.size_ratio is None else repr(r.size_ratio)]
-            )
+    for s, payload in zip(samples, payloads):  # None is an empty cell, a float its repr
+        w.writerows((s.sample_id, *r.values()) for r in payload["lesion_records"])
     paths["lesions"] = os.path.join(out_dir, "lesions.csv")
     _write_text(paths["lesions"], buf.getvalue())
     return paths

@@ -1,4 +1,4 @@
-"""Size-bin stratification and the per-bin aggregation of lesion records."""
+"""Size-bin stratification and the per-bin aggregation of lesion tables."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -7,7 +7,7 @@ import numpy as np
 
 from .components import LesionSet
 from .matching import MatchSet
-from .metrics import DetectionCounts, ImageMetrics, LesionPairMetrics, detection_rates
+from .metrics import Columns, DetectionCounts, ImageMetrics, LesionPairMetrics, detection_rates
 
 
 @dataclass(frozen=True)
@@ -41,18 +41,23 @@ def categorize(volume_vox: int) -> SizeBin:
     return SIZE_BINS[bin_index(volume_vox)]
 
 
-@dataclass(frozen=True)
-class LesionRecord:
-    """One row of the long-format lesion-level output."""
+@dataclass(frozen=True, eq=False)
+class LesionTable(Columns):
+    """The long-format lesion rows of one sample, one array per column.
 
-    lesion_id: int
-    status: str  # TP | FP | FN
-    gt_vox: int | None
-    pred_vox: int | None
-    size_bin: str
-    dice: float | None
-    hd95: float | None
-    size_ratio: float | None
+    Each GT lesion in id order, then each FP in id order. A cell that does
+    not apply to its row holds None: the predicted size of an FN, the GT
+    size of an FP, and the Dice, HD95 and size ratio of both.
+    """
+
+    lesion_id: np.ndarray
+    status: np.ndarray  # TP | FP | FN
+    gt_vox: np.ndarray  # objects, as are the columns below but size_bin
+    pred_vox: np.ndarray
+    size_bin: np.ndarray
+    dice: np.ndarray
+    hd95: np.ndarray
+    size_ratio: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -70,51 +75,43 @@ class BinAggregate:
     hd95_median: float | None
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleResult:
     sample_id: str
     model_tag: str
     detection: DetectionCounts
     image: ImageMetrics
-    pairs: list[LesionPairMetrics]
+    pairs: LesionPairMetrics
     per_bin: dict[str, BinAggregate]
-    records: list[LesionRecord]
+    records: LesionTable
     gt_lesions: int
     pred_lesions: int
 
 
-def _aggregate(values: list[float]) -> tuple[float | None, float | None]:
-    if not values:
-        return None, None
-    arr = np.asarray(values, dtype=float)
-    return float(arr.mean()), float(np.median(arr))
+def _aggregate(values: np.ndarray) -> tuple[float | None, float | None]:
+    arr = values.astype(float)
+    return (float(arr.mean()), float(np.median(arr))) if arr.size else (None, None)
 
 
-def aggregate_bins(records: list[LesionRecord]) -> dict[str, BinAggregate]:
-    """The per-bin table of a list of lesion records.
+def aggregate_bins(tables: list[LesionTable]) -> dict[str, BinAggregate]:
+    """The per-bin table of one or more lesion tables, pooled in the order given.
 
-    TP and FN records are the bin's GT lesions. Dice and HD95 are summarised
-    over the TP records in the order given, so the same records in the same
-    order always give the same floats.
+    TP and FN rows are the bin's GT lesions. Dice and HD95 are summarised
+    over the TP rows in order, so the same tables in the same order always
+    give the same floats.
     """
-    by_bin: dict[str, list[LesionRecord]] = {name: [] for name in BIN_NAMES}
-    for r in records:
-        by_bin[r.size_bin].append(r)
-
+    status, size_bin, dice, hd95 = (
+        np.concatenate([getattr(t, c) for t in tables])
+        for c in ("status", "size_bin", "dice", "hd95")
+    )
     per_bin: dict[str, BinAggregate] = {}
-    for name, rs in by_bin.items():
-        tps = [r for r in rs if r.status == "TP"]
-        tp = len(tps)
-        fp = sum(r.status == "FP" for r in rs)
-        fn = len(rs) - tp - fp
-        precision, recall, f1 = detection_rates(tp, fp, fn)
-        dm, dmed = _aggregate([r.dice for r in tps])
-        hm, hmed = _aggregate([r.hd95 for r in tps])
+    for name in BIN_NAMES:
+        here = size_bin == name
+        tp, fp, fn = (int(np.count_nonzero(here & (status == s))) for s in ("TP", "FP", "FN"))
+        tps = here & (status == "TP")
         per_bin[name] = BinAggregate(
-            n_gt=tp + fn, tp=tp, fp=fp, fn=fn,
-            precision=precision, recall=recall, f1=f1,
-            dice_mean=dm, dice_median=dmed,
-            hd95_mean=hm, hd95_median=hmed,
+            tp + fn, tp, fp, fn, *detection_rates(tp, fp, fn),
+            *_aggregate(dice[tps]), *_aggregate(hd95[tps]),
         )
     return per_bin
 
@@ -123,43 +120,44 @@ def stratify(
     gt: LesionSet,
     pred: LesionSet,
     match: MatchSet,
-    pairs: list[LesionPairMetrics],
-) -> tuple[dict[str, BinAggregate], list[LesionRecord]]:
+    pairs: LesionPairMetrics,
+) -> tuple[dict[str, BinAggregate], LesionTable]:
     """Assign TP/FN to bins by GT lesion size, FP by predicted lesion size.
 
     An FP has no GT counterpart, so its own size decides its bin; this
     choice affects per-bin precision and is deliberate.
     """
-    by_gt = {pm.gt_id: pm for pm in pairs}
-    records: list[LesionRecord] = []
-    gt_bins = bin_index(gt.sizes).tolist()
-    for g, (n, b) in enumerate(zip(gt.sizes.tolist(), gt_bins), start=1):
-        name = BIN_NAMES[b]
-        pm = by_gt.get(g)
-        if pm is not None:
-            records.append(
-                LesionRecord(
-                    g, "TP", n, pm.pred_vox, name,
-                    pm.dice, pm.hd95_mm, pm.size_ratio,
-                )
-            )
-        else:
-            records.append(LesionRecord(g, "FN", n, None, name, None, None, None))
+    fp_id = np.array(match.unmatched_pred, np.intp)
+    sizes = np.concatenate([gt.sizes, pred.sizes[fp_id - 1]])  # each row's own lesion
+    n_gt, n = len(gt), sizes.size
+    tp, fp = pairs.gt_id - 1, np.arange(n_gt, n)  # the rows of the TPs and of the FPs
+    status = np.full(n, "FN")
+    status[tp], status[fp] = "TP", "FP"
 
-    fp_vox = pred.sizes[np.array(match.unmatched_pred, np.intp) - 1]
-    for p, n, b in zip(match.unmatched_pred, fp_vox.tolist(), bin_index(fp_vox).tolist()):
-        records.append(LesionRecord(p, "FP", None, n, BIN_NAMES[b], None, None, None))
-    return aggregate_bins(records), records
+    def column(rows, values) -> np.ndarray:
+        c = np.full(n, None, object)
+        c[rows] = values  # stored as Python ints and floats
+        return c
+
+    table = LesionTable(
+        lesion_id=np.concatenate([np.arange(1, n_gt + 1), fp_id]), status=status,
+        gt_vox=column(slice(n_gt), sizes[:n_gt]),
+        pred_vox=column(np.concatenate([tp, fp]), np.concatenate([pairs.pred_vox, sizes[n_gt:]])),
+        size_bin=np.array(BIN_NAMES)[bin_index(sizes)],
+        dice=column(tp, pairs.dice), hd95=column(tp, pairs.hd95_mm),
+        size_ratio=column(tp, pairs.size_ratio),
+    )
+    return aggregate_bins([table]), table
 
 
 def rollup(samples: list[SampleResult]) -> dict[str, dict[str, BinAggregate]]:
-    """Per-bin aggregates of each model tag's pooled lesion records.
+    """Per-bin aggregates of each model tag's pooled lesion tables.
 
     Every lesion counts once, whichever sample it came from. Samples are
     pooled in sample_id order, so the result does not depend on the order
     they arrive in.
     """
-    pooled: dict[str, list[LesionRecord]] = {}
+    pooled: dict[str, list[LesionTable]] = {}
     for s in sorted(samples, key=lambda s: s.sample_id):
-        pooled.setdefault(s.model_tag, []).extend(s.records)
+        pooled.setdefault(s.model_tag, []).append(s.records)
     return {tag: aggregate_bins(pooled[tag]) for tag in sorted(pooled)}

@@ -26,8 +26,9 @@ def index_dtype(dims) -> np.dtype:
 
 def _checked_spacing(spacing) -> tuple[float, ...]:
     spacing = tuple(float(s) for s in spacing)
-    if not all(0 < s < math.inf for s in spacing):
-        raise ValueError(f"spacing must be positive and finite, got {spacing}")
+    top = float(np.finfo(np.float32).max)  # the largest pixdim: squared mm distances stay finite
+    if not all(0 < s <= top for s in spacing):
+        raise ValueError(f"spacing must be positive and at most {top:g}, got {spacing}")
     return spacing
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -38,6 +40,18 @@ def lesion_boxes(ls) -> list[tuple[slice, slice, slice]]:
         c = ls.coords(ls.run(i))
         boxes.append(tuple(map(slice, c.min(axis=0).tolist(), (c.max(axis=0) + 1).tolist())))
     return boxes
+
+
+def rows_of(table) -> list[SimpleNamespace]:
+    """A column table's rows, each with one attribute of Python scalars per column."""
+    return [SimpleNamespace(**r) for r in table.rows()]
+
+
+def columns_equal(a, b) -> bool:
+    """Whether two column tables hold equal columns under the same names."""
+    return list(vars(a)) == list(vars(b)) and all(
+        np.array_equal(x, y) for x, y in zip(vars(a).values(), vars(b).values())
+    )
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask
+from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask, rows_of
 from lesioneval.cli import main
 from lesioneval.components import find_connected_components
 from lesioneval.matching import generate_candidates, match_lesions, overlap
@@ -104,7 +104,7 @@ def test_criterion_04_dice_iou_identity():
         dists = surface_distances(gt, pred, (1, 1, 1))
         ov = overlap(gt, pred)
         matches = match_lesions(gt, pred, ov, 0.1).matches
-        for m in compute_lesion_metrics(gt, pred, ov, matches, dists):
+        for m in rows_of(compute_lesion_metrics(gt, pred, ov, matches, dists)):
             g, p = m.gt_id, m.pred_id
             assert abs(m.dice - 2 * m.iou / (1 + m.iou)) < 1e-12
             a, b = gsets[g - 1], psets[p - 1]

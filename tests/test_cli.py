@@ -249,6 +249,34 @@ def test_malformed_json_fixture_fails_one_sample(tmp_path, capsys):
     assert "FAILED bad" in capsys.readouterr().err
 
 
+def test_huge_spacing_fails_one_sample(tmp_path, capsys):
+    # squared mm offsets of a 1e200 mm spacing overflowed to inf, and the
+    # surface search then raised IndexError, which ended the run with no reports
+    (tmp_path / "good.json").write_text(
+        '{"dims": [4, 3, 1], "spacing": [1, 1, 1], "data": [1, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0]}'
+    )
+    (tmp_path / "huge.json").write_text(
+        '{"dims": [4, 3, 1], "spacing": [1e200, 1.0, 1.0], '
+        '"data": [1, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0]}'
+    )
+    (tmp_path / "huge_pred.json").write_text(
+        '{"dims": [4, 3, 1], "spacing": [1e200, 1.0, 1.0], '
+        '"data": [0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0]}'
+    )
+    manifest = _write_manifest(
+        tmp_path,
+        [["good", "good.json", "good.json"], ["huge", "huge.json", "huge_pred.json"]],
+    )
+    out = tmp_path / "out"
+    code = main(["evaluate", "--manifest", str(manifest), "--out", str(out)])
+    assert code == 2
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["samples"] == ["good"]
+    (failure,) = summary["failures"]
+    assert failure["sample_id"] == "huge" and failure["reason"].startswith("BadMagic: ")
+    assert "FAILED huge" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "raw",
     [
@@ -257,10 +285,11 @@ def test_malformed_json_fixture_fails_one_sample(tmp_path, capsys):
         b'{"dims": [2, 1, 1], "spacing": [0, 1, 1], "data": [1, 0]}',
         b'{"dims": [2, 1, 1], "spacing": [-1, 1, 1], "data": [1, 0]}',
         b'{"dims": [2, 1, 1], "spacing": [1, NaN, 1], "data": [1, 0]}',
+        b'{"dims": [2, 1, 1], "spacing": [1, 1, 1e200], "data": [1, 0]}',
         b'{"dims": [2, 1, 1], "spacing": [1, 1, 1], "data": [1, 0], "note": "\xff"}',
     ],
     ids=["dims-0", "dims-two-unknown", "spacing-0", "spacing-negative", "spacing-nan",
-         "not-utf8"],
+         "spacing-huge", "not-utf8"],
 )
 def test_json_fixture_bad_values_are_bad_magic(tmp_path, capsys, raw):
     # each used to escape the reader as a bare ValueError or UnicodeDecodeError:

@@ -12,7 +12,13 @@ from scipy.spatial import cKDTree
 import lesioneval.matching
 import lesioneval.metrics
 import lesioneval.pipeline
-from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask
+from conftest import (
+    columns_equal,
+    lesion_voxel_sets,
+    mask_from_voxels,
+    random_blob_mask,
+    rows_of,
+)
 from lesioneval.components import find_connected_components
 from lesioneval.matching import match_lesions, overlap
 from lesioneval.metrics import (
@@ -26,6 +32,7 @@ from lesioneval.metrics import (
     surface_distances,
 )
 from lesioneval.pipeline import RunConfig, evaluate_pair
+from lesioneval.report import _sample_payload
 from lesioneval.volume import Foreground, Volume
 from oracles import brute_surface, brute_surface_distances, whole_grid_image_metrics
 
@@ -57,7 +64,7 @@ def _pair_metrics(gt, pred, g, p, spacing=(1, 1, 1), variant="pooled"):
     """compute_lesion_metrics of one pair, with the two masks' distances."""
     dists = surface_distances(gt, pred, spacing)
     ov = overlap(gt, pred)
-    (m,) = compute_lesion_metrics(gt, pred, ov, [(g, p, 0.0)], dists, variant)
+    (m,) = rows_of(compute_lesion_metrics(gt, pred, ov, [(g, p, 0.0)], dists, variant))
     return m
 
 
@@ -306,14 +313,15 @@ def test_evaluate_pair_builds_no_label_map(rng, monkeypatch):
 
     gt = random_blob_mask(rng, (14, 14, 14), 0.25)
     pred = random_blob_mask(rng, (14, 14, 14), 0.25)
-    expected = evaluate_pair("s", gt, pred, RunConfig(tau=0.1))
+    config = RunConfig(tau=0.1)
+    expected = evaluate_pair("s", gt, pred, config)
 
     def refuse(self):
         raise AssertionError("label_map built on the evaluate path")
 
     monkeypatch.setattr(LesionSet, "label_map", property(refuse))
-    got = evaluate_pair("s", gt, pred, RunConfig(tau=0.1))
-    assert got == expected
+    got = evaluate_pair("s", gt, pred, config)
+    assert _sample_payload(got, config) == _sample_payload(expected, config)
     assert got.pairs
 
 
@@ -322,7 +330,8 @@ def test_evaluate_pair_intersects_the_foregrounds_once(rng, monkeypatch):
     # and the image Dice; the other intersection is of the two surfaces
     gt = random_blob_mask(rng, (14, 14, 14), 0.25)
     pred = random_blob_mask(rng, (14, 14, 14), 0.25)
-    expected = evaluate_pair("s", gt, pred, RunConfig(tau=0.1))
+    config = RunConfig(tau=0.1)
+    expected = evaluate_pair("s", gt, pred, config)
     labelled, calls = [], []
     label = lesioneval.pipeline.find_connected_components
 
@@ -337,8 +346,9 @@ def test_evaluate_pair_intersects_the_foregrounds_once(rng, monkeypatch):
     monkeypatch.setattr(lesioneval.pipeline, "find_connected_components", recorded_label)
     for module in (lesioneval.matching, lesioneval.metrics):
         monkeypatch.setattr(module, "intersect_sorted", recorded)
-    got = evaluate_pair("s", gt, pred, RunConfig(tau=0.1))
-    assert got == expected and got.pairs
+    got = evaluate_pair("s", gt, pred, config)
+    assert _sample_payload(got, config) == _sample_payload(expected, config)
+    assert got.pairs
     g, p = labelled
     assert calls.count({id(g.index), id(p.index)}) == 1
     assert len(calls) == 2
@@ -368,7 +378,7 @@ def test_lesion_metrics_reject_matches_not_one_to_one(matches):
         mask_from_voxels([(1, 0, 0), (2, 0, 0), (5, 5, 5)], dims)
     )
     ov, dists = overlap(gt, pred), surface_distances(gt, pred, (1, 1, 1))
-    (m,) = compute_lesion_metrics(gt, pred, ov, [(1, 1, 0.0)], dists)
+    (m,) = rows_of(compute_lesion_metrics(gt, pred, ov, [(1, 1, 0.0)], dists))
     assert m.dice == 0.5
     with pytest.raises(ValueError):
         compute_lesion_metrics(gt, pred, ov, matches, dists)
@@ -411,7 +421,7 @@ def _pair_hd95_is_brute(gt, pred, connectivity, rng):
     n = 0
     for variant in ("pooled", "max-of-directed"):
         config = RunConfig(tau=0.0, connectivity=connectivity, hd95_variant=variant)
-        for m in evaluate_pair("s", gt, pred, config).pairs:
+        for m in rows_of(evaluate_pair("s", gt, pred, config).pairs):
             pooled, maxdir, _ = brute_surface_distances(
                 set(gs[m.gt_id - 1]), set(ps[m.pred_id - 1]), spacing
             )
@@ -483,12 +493,14 @@ def test_evaluate_pair_builds_no_tree_per_pair(kd_trees, monkeypatch, per_axis):
             gt[6 * x + 1 : 6 * x + 4, 6 * y + 1 : 6 * y + 4, 2:5] = 1
             pred[6 * x + 2 : 6 * x + 5, 6 * y + 1 : 6 * y + 4, 2:5] = 1
     gt, pred = Volume(gt, (1, 1, 1)), Volume(pred, (1, 1, 1))
-    got = evaluate_pair("s", gt, pred, RunConfig(tau=0.1))
+    config = RunConfig(tau=0.1)
+    got = evaluate_pair("s", gt, pred, config)
     assert len(got.pairs) == per_axis**2
     assert kd_trees == []  # the ring search settles every voxel
     # without it, one tree per direction and still none per pair
     monkeypatch.setattr(lesioneval.metrics, "_shells", lambda sp: [])
-    assert evaluate_pair("s", gt, pred, RunConfig(tau=0.1)) == got
+    kd = evaluate_pair("s", gt, pred, config)
+    assert _sample_payload(kd, config) == _sample_payload(got, config)
     assert kd_trees == ["_nearest_surface"] * 2
 
 
@@ -778,14 +790,17 @@ def test_lesion_metrics_independent_of_batch(rng):
         matches = match_lesions(gt, pred, ov, 0.0).matches
         for variant in ("pooled", "max-of-directed"):
             whole = compute_lesion_metrics(gt, pred, ov, matches, dists, variant)
-            assert [m.gt_id for m in whole] == sorted(g for g, _, _ in matches)
+            assert whole.gt_id.tolist() == sorted(g for g, _, _ in matches)
             shuffled = [matches[i] for i in rng.permutation(len(matches))]
-            assert compute_lesion_metrics(gt, pred, ov, shuffled, dists, variant) == whole
+            assert columns_equal(
+                compute_lesion_metrics(gt, pred, ov, shuffled, dists, variant), whole
+            )
             alone = [
-                compute_lesion_metrics(gt, pred, ov, [m], dists, variant)[0]
+                rows_of(compute_lesion_metrics(gt, pred, ov, [m], dists, variant))
                 for m in sorted(matches)
             ]
-            assert alone == whole
+            assert all(len(a) == 1 for a in alone)
+            assert [a[0] for a in alone] == rows_of(whole)
             n += len(whole)
-    assert compute_lesion_metrics(gt, pred, ov, [], dists) == []
+    assert compute_lesion_metrics(gt, pred, ov, [], dists).rows() == []
     assert n > 30

@@ -5,10 +5,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_blob_mask
+from conftest import random_blob_mask, rows_of
+from lesioneval.components import find_connected_components
+from lesioneval.matching import match_lesions, overlap
+from lesioneval.metrics import compute_lesion_metrics, detection_rates, surface_distances
 from lesioneval.pipeline import RunConfig, evaluate_pair
 from lesioneval.report import emit_reports
-from lesioneval.stratify import BIN_NAMES, aggregate_bins, categorize, rollup
+from lesioneval.stratify import (
+    BIN_NAMES,
+    BinAggregate,
+    aggregate_bins,
+    categorize,
+    rollup,
+    stratify,
+)
 from lesioneval.volume import Volume
 
 
@@ -115,7 +125,7 @@ def test_rollup_independent_of_sample_order():
     # values, or this test could not tell pooling orders apart
     def pooled_dice_means(order):
         return [
-            np.mean([r.dice for s in order for r in s.records
+            np.mean([r.dice for s in order for r in rows_of(s.records)
                      if r.status == "TP" and r.size_bin == name])
             for name in BIN_NAMES
         ]
@@ -136,7 +146,7 @@ def test_rollup_keeps_model_tags_apart(rng):
     assert sorted(rolled) == ["A", "B"]
     for tag in ("A", "B"):
         own = [s for s in samples if s.model_tag == tag]
-        assert rolled[tag] == aggregate_bins([r for s in own for r in s.records])
+        assert rolled[tag] == aggregate_bins([s.records for s in own])
         for name in BIN_NAMES:
             assert rolled[tag][name].tp == sum(s.per_bin[name].tp for s in own)
             assert rolled[tag][name].fp == sum(s.per_bin[name].fp for s in own)
@@ -227,3 +237,111 @@ def test_lesion_csv_long_format(tmp_path):
     assert tp["size_bin"] == "Large" and float(tp["dice"]) == 1.0
     fn = next(r for r in rows if r["status"] == "FN")
     assert fn["pred_vox"] == "" and fn["dice"] == ""
+
+
+def test_reports_agree_row_for_row(tmp_path):
+    # lesions.csv, lesion_records and matched_pairs are three views of one
+    # table: each cell must say the same, and no NaN or inf may stand in
+    # for a missing value
+    samples = _random_samples(np.random.default_rng(11), 6, tau=0.1, tags=("A", "B"))
+    paths = emit_reports(samples, RunConfig(tau=0.1), str(tmp_path / "out"))
+
+    def no_constant(name):
+        raise ValueError(f"{name} in a report")
+
+    def load(path):
+        return json.loads(Path(path).read_text(), parse_constant=no_constant)
+
+    load(paths["summary"])
+    with open(paths["lesions"], newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert len(rows) == sum(len(s.records) for s in samples)
+    tps = 0
+    for s in sorted(samples, key=lambda s: s.sample_id):
+        report = load(tmp_path / "out" / "samples" / f"{s.sample_id}.json")
+        records, own = report["lesion_records"], rows[: len(s.records)]
+        rows = rows[len(s.records) :]
+        assert len(records) == len(own) == len(s.records)
+        for row, rec in zip(own, records):
+            assert row.pop("sample_id") == s.sample_id
+            assert row.keys() == rec.keys()
+            for name, value in rec.items():
+                if value is None:
+                    assert row[name] == ""
+                elif isinstance(value, float):
+                    assert float(row[name]) == value
+                else:
+                    assert row[name] == str(value)
+        pairs = report["matched_pairs"]
+        tp = [r for r in records if r["status"] == "TP"]
+        assert [r["lesion_id"] for r in tp] == [p["gt_id"] for p in pairs]
+        for r, p in zip(tp, pairs):
+            assert (r["dice"], r["hd95"], r["size_ratio"], r["pred_vox"]) == (
+                p["dice"], p["hd95_mm"], p["size_ratio"], p["pred_vox"]
+            )
+        tps += len(tp)
+    assert rows == [] and tps > 10
+
+
+def _loop_rows(gt, pred, match, pairs):
+    """The lesion rows, built one lesion at a time: the reference for ``stratify``."""
+    by_gt = {p["gt_id"]: p for p in pairs.rows()}
+    rows = []
+    for g, n in enumerate(gt.sizes.tolist(), start=1):
+        p = by_gt.get(g)
+        rows.append({"lesion_id": g, "status": "FN", "gt_vox": n, "pred_vox": None,
+                     "size_bin": categorize(n).name, "dice": None, "hd95": None,
+                     "size_ratio": None})
+        if p is not None:
+            rows[-1].update(status="TP", pred_vox=p["pred_vox"], dice=p["dice"],
+                            hd95=p["hd95_mm"], size_ratio=p["size_ratio"])
+    for q in match.unmatched_pred:
+        n = int(pred.sizes[q - 1])
+        rows.append({"lesion_id": q, "status": "FP", "gt_vox": None, "pred_vox": n,
+                     "size_bin": categorize(n).name, "dice": None, "hd95": None,
+                     "size_ratio": None})
+    return rows
+
+
+def _loop_bins(rows):
+    """The per-bin table by a group-by over row dicts: the reference for ``aggregate_bins``."""
+    def summary(values):
+        return (float(np.mean(values)), float(np.median(values))) if values else (None, None)
+
+    out = {}
+    for name in BIN_NAMES:
+        rs = [r for r in rows if r["size_bin"] == name]
+        tps = [r for r in rs if r["status"] == "TP"]
+        tp, fp = len(tps), sum(r["status"] == "FP" for r in rs)
+        fn = len(rs) - tp - fp
+        out[name] = BinAggregate(
+            tp + fn, tp, fp, fn, *detection_rates(tp, fp, fn),
+            *summary([r["dice"] for r in tps]), *summary([r["hd95"] for r in tps]),
+        )
+    return out
+
+
+def test_lesion_table_and_bins_equal_a_loop_over_lesions():
+    # the columns must give exactly the rows and floats that building one
+    # record per lesion and grouping them in Python gave
+    rng = np.random.default_rng(12)
+    tables, pooled = [], []
+    for _ in range(10):
+        gt, pred = (
+            find_connected_components(random_blob_mask(rng, (18, 16, 14), 0.2))
+            for _ in range(2)
+        )
+        ov = overlap(gt, pred)
+        match = match_lesions(gt, pred, ov, 0.0)
+        pairs = compute_lesion_metrics(
+            gt, pred, ov, match.matches, surface_distances(gt, pred, (0.8, 1.0, 2.5))
+        )
+        per_bin, table = stratify(gt, pred, match, pairs)
+        want = _loop_rows(gt, pred, match, pairs)
+        assert table.rows() == want and len(table) == len(want)
+        assert per_bin == _loop_bins(want)
+        tables.append(table)
+        pooled += want
+    assert aggregate_bins(tables) == _loop_bins(pooled)
+    assert sum(r["status"] == "TP" for r in pooled) > 20
+    assert {r["status"] for r in pooled} == {"TP", "FN", "FP"}

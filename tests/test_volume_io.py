@@ -181,7 +181,7 @@ def test_single_file_vox_offset_inside_header_rejected(tmp_path, offset):
 
 
 @pytest.mark.parametrize(
-    "spacing", [(np.nan, 1, 1), (1, np.inf, 1), (1, 1, -np.inf), (0, 1, 1)]
+    "spacing", [(np.nan, 1, 1), (1, np.inf, 1), (1, 1, -np.inf), (0, 1, 1), (1e200, 1, 1)]
 )
 def test_volume_rejects_bad_spacing(spacing):
     with pytest.raises(ValueError, match="spacing"):
@@ -189,12 +189,22 @@ def test_volume_rejects_bad_spacing(spacing):
 
 
 @pytest.mark.parametrize(
-    "spacing", [(-1.0, 2.0, 1.0), (0.0, 2.0, 1.0), (1, np.nan, 1), (1, 1, np.inf)]
+    "spacing",
+    [(-1.0, 2.0, 1.0), (0.0, 2.0, 1.0), (1, np.nan, 1), (1, 1, np.inf), (1, 1, 1e39)],
 )
 def test_foreground_rejects_bad_spacing(spacing):
     # a negative or zero spacing used to give lesion volumes of -6.0 or 0.0 mm^3
     with pytest.raises(ValueError, match="spacing"):
         Foreground(np.array([0, 1, 2]), (10, 10, 10), spacing)
+
+
+def test_spacing_bound_is_the_largest_pixdim():
+    # every squared mm offset of the surface search stays finite up to the bound
+    top = float(np.finfo(np.float32).max)
+    assert Volume(np.zeros((2, 2, 2), np.uint8), (top, 1, 1)).spacing == (top, 1.0, 1.0)
+    Foreground(np.array([0]), (2, 2, 2), (1, top, 1))
+    with pytest.raises(ValueError, match="spacing"):
+        Foreground(np.array([0]), (2, 2, 2), (1, np.nextafter(top, np.inf), 1))
 
 
 @pytest.mark.parametrize(
