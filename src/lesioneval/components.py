@@ -91,26 +91,16 @@ class LesionSet:
     index: np.ndarray  # ascending z-major linear indices of the foreground
     label: np.ndarray  # int32 lesion id of each voxel
     surface: np.ndarray  # bool: the voxel has a 6-neighbour outside the mask
-    order: np.ndarray  # positions grouped by lesion, ascending in each group
-    starts: np.ndarray  # lesion k's group is order[starts[k-1]:starts[k]]
-    # index, order and starts are in index_dtype(shape)
+    sizes: np.ndarray  # each lesion's voxel count: lesion k's is sizes[k - 1]
+    # index and sizes are in index_dtype(shape)
 
     def __len__(self) -> int:
-        return self.starts.size - 1
-
-    @property
-    def sizes(self) -> np.ndarray:
-        """Each lesion's voxel count: lesion k's is ``sizes[k - 1]``."""
-        return np.diff(self.starts)
+        return self.sizes.size
 
     @property
     def lesions(self) -> list[Lesion]:
         """A ``Lesion`` per id, built from ``sizes`` on demand."""
         return [Lesion(i, n) for i, n in enumerate(self.sizes.tolist(), start=1)]
-
-    def run(self, lesion_id: int) -> np.ndarray:
-        """Positions of one lesion's voxels, ascending."""
-        return self.order[self.starts[lesion_id - 1] : self.starts[lesion_id]]
 
     def coords(self, pos: np.ndarray) -> np.ndarray:
         """[x, y, z] grid coordinates of the voxels at positions ``pos``."""
@@ -174,9 +164,5 @@ def find_connected_components(
     run_label = np.cumsum(comp == np.arange(comp.size), dtype=np.int32)[comp]
     labels = np.repeat(run_label, length)
 
-    sizes = np.bincount(labels)[1:]
-    starts = np.zeros(sizes.size + 1, dtype)
-    np.cumsum(sizes, out=starts[1:])
-    runs = np.argsort(run_label, kind="stable")
-    order = _ranges(first[runs], length[runs])
-    return LesionSet((nx, ny, nz), idx, labels, surface, order, starts)
+    sizes = np.bincount(labels)[1:].astype(dtype)
+    return LesionSet((nx, ny, nz), idx, labels, surface, sizes)

@@ -266,17 +266,21 @@ def _partner_distances(
     ns: NearestSurface,
     src_pair: np.ndarray,
     dst: LesionSet,
+    d_pos: np.ndarray,
     dst_ids: np.ndarray,
     sp: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each matched ``src`` surface voxel's pair and its distance to the partner.
 
-    ``src_pair`` maps a ``src`` lesion id to its pair (-1 when unmatched)
-    and ``dst_ids`` a pair to its ``dst`` lesion. A voxel whose nearest
-    surface voxel lies in its partner already holds the distance: face
-    neighbours share a lesion, so the lesion's surface is part of the
-    mask's. The others, whose nearest voxel lies in another lesion, are
-    queried again against the partner's own surface, one query per lesion.
+    ``src_pair`` maps a ``src`` lesion id to its pair (-1 when unmatched),
+    ``dst_ids`` a pair to its ``dst`` lesion, and ``d_pos`` holds the
+    positions of ``dst``'s surface voxels. A voxel whose nearest surface
+    voxel lies in its partner already holds the distance: face neighbours
+    share a lesion, so the lesion's surface is part of the mask's. The
+    others, whose nearest voxel lies in another lesion, are queried again
+    against the partner's own surface, one query per lesion. Only those
+    partners' surface voxels are grouped by lesion, so the sort follows
+    them and not the whole surface.
     """
     key = src_pair[src.label[ns.pos]]
     kept = key >= 0
@@ -284,10 +288,13 @@ def _partner_distances(
     miss = np.flatnonzero(ns.near[kept] != dst_ids[key])
     miss = miss[np.argsort(key[miss], kind="stable")]
     pairs, first = np.unique(key[miss], return_index=True)
-    for k, rows in zip(pairs.tolist(), np.split(miss, first[1:])):
-        t = dst.run(dst_ids[k])
-        t = t[dst.surface[t]]
-        dist[rows] = _nearest(dst.coords(t) * sp, src.coords(pos[rows]) * sp)[0]
+    ids = dst_ids[pairs]
+    t = d_pos[np.isin(dst.label[d_pos], ids)]
+    t = t[np.argsort(dst.label[t], kind="stable")]  # ascending within each lesion
+    t_id = dst.label[t]
+    lo, hi = np.searchsorted(t_id, ids), np.searchsorted(t_id, ids, side="right")
+    for rows, a, b in zip(np.split(miss, first[1:]), lo.tolist(), hi.tolist()):
+        dist[rows] = _nearest(dst.coords(t[a:b]) * sp, src.coords(pos[rows]) * sp)[0]
     return key, dist
 
 
@@ -325,8 +332,8 @@ def compute_lesion_metrics(
 
     sp = distances.spacing
     hd = _hd95(
-        *_partner_distances(gt, distances.gt, g_pair, pred, p_ids, sp),
-        *_partner_distances(pred, distances.pred, p_pair, gt, g_ids, sp),
+        *_partner_distances(gt, distances.gt, g_pair, pred, distances.pred.pos, p_ids, sp),
+        *_partner_distances(pred, distances.pred, p_pair, gt, distances.gt.pos, g_ids, sp),
         n,
         hd95_variant,
     )

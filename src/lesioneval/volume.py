@@ -26,9 +26,12 @@ def index_dtype(dims) -> np.dtype:
 
 def _checked_spacing(spacing) -> tuple[float, ...]:
     spacing = tuple(float(s) for s in spacing)
-    top = float(np.finfo(np.float32).max)  # the largest pixdim: squared mm distances stay finite
-    if not all(0 < s <= top for s in spacing):
-        raise ValueError(f"spacing must be positive and at most {top:g}, got {spacing}")
+    # the smallest nonzero and the largest pixdim: squared mm distances stay
+    # normal floats, neither rounded to 0 nor overflowing
+    f32 = np.finfo(np.float32)
+    bottom, top = float(f32.smallest_subnormal), float(f32.max)
+    if not all(bottom <= s <= top for s in spacing):
+        raise ValueError(f"spacing must be in [{bottom:g}, {top:g}], got {spacing}")
     return spacing
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -28,18 +29,34 @@ def mask_from_voxels(voxels, dims, spacing=(1.0, 1.0, 1.0)) -> Volume:
     return Volume(arr, spacing)
 
 
+def _lesion_coords(ls) -> list[np.ndarray]:
+    """Each lesion's [x, y, z] voxel coordinates, grouped by label in one sort, in id order."""
+    pos = np.argsort(ls.label, kind="stable")
+    ends = np.searchsorted(ls.label[pos], np.arange(1, len(ls) + 1), side="right")
+    return np.split(ls.coords(pos), ends)[:-1]
+
+
 def lesion_voxel_sets(ls) -> list[frozenset]:
-    """Each lesion's (x, y, z) voxels, read from its run, in id order."""
-    return [frozenset(map(tuple, ls.coords(ls.run(i)).tolist())) for i in range(1, len(ls) + 1)]
+    """Each lesion's (x, y, z) voxels, in id order."""
+    return [frozenset(map(tuple, c.tolist())) for c in _lesion_coords(ls)]
 
 
 def lesion_boxes(ls) -> list[tuple[slice, slice, slice]]:
-    """Each lesion's tight [x, y, z] box, read from its run, in id order."""
-    boxes = []
-    for i in range(1, len(ls) + 1):
-        c = ls.coords(ls.run(i))
-        boxes.append(tuple(map(slice, c.min(axis=0).tolist(), (c.max(axis=0) + 1).tolist())))
-    return boxes
+    """Each lesion's tight [x, y, z] box, in id order."""
+    return [
+        tuple(map(slice, c.min(axis=0).tolist(), (c.max(axis=0) + 1).tolist()))
+        for c in _lesion_coords(ls)
+    ]
+
+
+def assert_lesion_set_fields(ls, dtype) -> None:
+    """Each array field of ``ls`` has its dtype: ``dtype`` for the voxel
+    indices and lesion sizes, int32 for labels and bool for surface flags.
+    A field not named here fails, so none escapes the one-dtype rule."""
+    want = {"index": dtype, "label": np.int32, "surface": np.bool_, "sizes": dtype}
+    for f in dataclasses.fields(ls):
+        if f.name != "shape":
+            assert getattr(ls, f.name).dtype == want[f.name], f.name
 
 
 def rows_of(table) -> list[SimpleNamespace]:

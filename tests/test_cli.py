@@ -249,23 +249,23 @@ def test_malformed_json_fixture_fails_one_sample(tmp_path, capsys):
     assert "FAILED bad" in capsys.readouterr().err
 
 
-def test_huge_spacing_fails_one_sample(tmp_path, capsys):
-    # squared mm offsets of a 1e200 mm spacing overflowed to inf, and the
-    # surface search then raised IndexError, which ended the run with no reports
+def _bad_spacing_fails_one_sample(tmp_path, capsys, sid: str, spacing: str):
+    """A two-sample run in which only sample ``sid``, whose masks have
+    ``spacing``, fails with ``BadMagic``; the run exits 2."""
     (tmp_path / "good.json").write_text(
         '{"dims": [4, 3, 1], "spacing": [1, 1, 1], "data": [1, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0]}'
     )
-    (tmp_path / "huge.json").write_text(
-        '{"dims": [4, 3, 1], "spacing": [1e200, 1.0, 1.0], '
+    (tmp_path / f"{sid}.json").write_text(
+        f'{{"dims": [4, 3, 1], "spacing": {spacing}, '
         '"data": [1, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0]}'
     )
-    (tmp_path / "huge_pred.json").write_text(
-        '{"dims": [4, 3, 1], "spacing": [1e200, 1.0, 1.0], '
+    (tmp_path / f"{sid}_pred.json").write_text(
+        f'{{"dims": [4, 3, 1], "spacing": {spacing}, '
         '"data": [0, 1, 1, 0, 0, 0, 0, 0, 1, 1, 0, 0]}'
     )
     manifest = _write_manifest(
         tmp_path,
-        [["good", "good.json", "good.json"], ["huge", "huge.json", "huge_pred.json"]],
+        [["good", "good.json", "good.json"], [sid, f"{sid}.json", f"{sid}_pred.json"]],
     )
     out = tmp_path / "out"
     code = main(["evaluate", "--manifest", str(manifest), "--out", str(out)])
@@ -273,8 +273,20 @@ def test_huge_spacing_fails_one_sample(tmp_path, capsys):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["samples"] == ["good"]
     (failure,) = summary["failures"]
-    assert failure["sample_id"] == "huge" and failure["reason"].startswith("BadMagic: ")
-    assert "FAILED huge" in capsys.readouterr().err
+    assert failure["sample_id"] == sid and failure["reason"].startswith("BadMagic: ")
+    assert f"FAILED {sid}" in capsys.readouterr().err
+
+
+def test_huge_spacing_fails_one_sample(tmp_path, capsys):
+    # squared mm offsets of a 1e200 mm spacing overflowed to inf, and the
+    # surface search then raised IndexError, which ended the run with no reports
+    _bad_spacing_fails_one_sample(tmp_path, capsys, "huge", "[1e200, 1.0, 1.0]")
+
+
+def test_tiny_spacing_fails_one_sample(tmp_path, capsys):
+    # a 1e-200 mm spacing squares to 0, so every distance of the sample read
+    # 0.0: the sample passed with an HD95 and ASSD that only looked valid
+    _bad_spacing_fails_one_sample(tmp_path, capsys, "tiny", "[1e-200, 1.0, 1.0]")
 
 
 @pytest.mark.parametrize(
@@ -286,10 +298,11 @@ def test_huge_spacing_fails_one_sample(tmp_path, capsys):
         b'{"dims": [2, 1, 1], "spacing": [-1, 1, 1], "data": [1, 0]}',
         b'{"dims": [2, 1, 1], "spacing": [1, NaN, 1], "data": [1, 0]}',
         b'{"dims": [2, 1, 1], "spacing": [1, 1, 1e200], "data": [1, 0]}',
+        b'{"dims": [2, 1, 1], "spacing": [1e-200, 1, 1], "data": [1, 0]}',
         b'{"dims": [2, 1, 1], "spacing": [1, 1, 1], "data": [1, 0], "note": "\xff"}',
     ],
     ids=["dims-0", "dims-two-unknown", "spacing-0", "spacing-negative", "spacing-nan",
-         "spacing-huge", "not-utf8"],
+         "spacing-huge", "spacing-tiny", "not-utf8"],
 )
 def test_json_fixture_bad_values_are_bad_magic(tmp_path, capsys, raw):
     # each used to escape the reader as a bare ValueError or UnicodeDecodeError:

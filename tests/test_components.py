@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import tracemalloc
 
@@ -8,8 +9,14 @@ from hypothesis import strategies as st
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
-from conftest import lesion_boxes, lesion_voxel_sets, mask_from_voxels, random_blob_mask
-from lesioneval.components import _run_components, find_connected_components
+from conftest import (
+    assert_lesion_set_fields,
+    lesion_boxes,
+    lesion_voxel_sets,
+    mask_from_voxels,
+    random_blob_mask,
+)
+from lesioneval.components import LesionSet, _run_components, find_connected_components
 from lesioneval.errors import NotBinary
 from oracles import erosion_surface, flood_fill_components, scipy_label_components
 from lesioneval.volume import Foreground, Volume
@@ -133,23 +140,34 @@ def test_one_voxel_runs_when_nx_is_1(rng, connectivity):
 
 @pytest.mark.parametrize("connectivity", [6, 18, 26])
 def test_array_dtypes(rng, connectivity):
-    # on a grid whose padded keys fit in int32, the index, positions and lesion
-    # starts are int32 whatever the dtype of the foreground's index (the
-    # int64 side is in test_index_dtype.py); labels are int32 on every grid
+    # on a grid whose padded keys fit in int32, the index and lesion sizes
+    # are int32 whatever the dtype of the foreground's index (the int64 side
+    # is in test_index_dtype.py); labels are int32 on every grid
     for data in (random_blob_mask(rng, (9, 8, 7), 0.3).data, np.zeros((3, 3, 3), np.uint8)):
         fg = Foreground.from_mask(Volume(data, (1.0, 1.0, 1.0)))
         assert fg.index.dtype == np.int32
         wide = Foreground(fg.index.astype(np.int64), fg.dims, fg.spacing)
         narrow = _assert_matches_scipy(data, connectivity)
         for ls in (narrow, find_connected_components(wide, connectivity)):
-            assert ls.label.dtype == np.int32
-            assert ls.index.dtype == ls.order.dtype == ls.starts.dtype == np.int32
-            assert ls.surface.dtype == bool
+            assert_lesion_set_fields(ls, np.int32)
+
+
+def test_lesion_set_holds_each_voxel_once(rng):
+    # a lesion is its label id: the voxels are held once, as index, label and
+    # surface flag, and each lesion adds only its size, so a second per-voxel
+    # encoding of the lesions would show here
+    ls = find_connected_components(random_blob_mask(rng, (24, 20, 16), 0.3))
+    assert [f.name for f in dataclasses.fields(LesionSet)] == [
+        "shape", "index", "label", "surface", "sizes"
+    ]
+    assert len(ls) > 1
+    held = sum(getattr(ls, f.name).nbytes for f in dataclasses.fields(ls) if f.name != "shape")
+    assert held == 9 * ls.index.size + 4 * len(ls)
 
 
 def test_labeller_memory_budget():
     # the labeller's transient arrays follow its runs and touching pairs, not
-    # its voxels, and its index, keys and order are int32: this mask needs
+    # its voxels, and its index and keys are int32: this mask needs
     # about 52 bytes a voxel at connectivity 26
     data = random_blob_mask(np.random.default_rng(7), (64, 64, 64), 0.4).data
     fg = Foreground.from_mask(Volume(data, (1.0, 1.0, 1.0)))
@@ -267,7 +285,7 @@ def test_sizes_count_voxels_at_any_spacing():
     ls = find_connected_components(Volume(arr, (0.5, 0.5, 2.0)))
     assert len(ls) == 2
     assert ls.sizes.tolist() == [8, 1]
-    assert np.array_equal(ls.sizes, np.diff(ls.starts))
+    assert ls.sizes.tolist() == [len(v) for v in lesion_voxel_sets(ls)]
 
 
 def test_single_voxel_stats():

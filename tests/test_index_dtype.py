@@ -14,7 +14,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import columns_equal, random_blob_mask
+from conftest import assert_lesion_set_fields, columns_equal, random_blob_mask
 from lesioneval.components import find_connected_components
 from lesioneval.matching import match_lesions, overlap
 from lesioneval.metrics import compute_image_metrics, compute_lesion_metrics, surface_distances
@@ -108,9 +108,10 @@ def test_far_corner_of_a_huge_grid_gives_the_small_grid_numbers(seed, dims, dtyp
     # the numbers first: a wrong rule shows as wrong numbers, not only as a dtype
     for big, small in ((gl, wgl), (pl, wpl)):
         assert big.index[-1] == math.prod(dims) - 1  # the far corner voxel
-        for name in ("label", "surface", "order", "starts"):
+        for name in ("label", "surface", "sizes"):
             assert getattr(big, name).tolist() == getattr(small, name).tolist()
-        assert (big.coords(big.order) - small.coords(small.order)).tolist() == [
+        every = np.arange(big.index.size)
+        assert (big.coords(every) - small.coords(every)).tolist() == [
             [a - b for a, b in zip(dims, BOX)]
         ] * big.index.size
     for name in ("gt_id", "pred_id", "inter"):
@@ -124,5 +125,5 @@ def test_far_corner_of_a_huge_grid_gives_the_small_grid_numbers(seed, dims, dtyp
     assert all(columns_equal(pairs[v], wpairs[v]) for v in pairs)
     assert image == wimage
     for ls in (gl, pl):
-        assert ls.index.dtype == ls.order.dtype == ls.starts.dtype == dtype
+        assert_lesion_set_fields(ls, dtype)
     assert d.gt.pos.dtype == d.pred.pos.dtype == dtype

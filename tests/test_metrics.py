@@ -524,8 +524,7 @@ def _ring_is_kd(gt, pred, spacing):
         assert ns.dist.tolist() == _kd_only(src, dst, spacing).tolist()
         for lesion in np.unique(ns.near).tolist():
             rows = ns.near == lesion
-            t = dst.run(lesion)
-            t = t[dst.surface[t]]
+            t = np.flatnonzero((dst.label == lesion) & dst.surface)
             d = cKDTree(dst.coords(t) * sp).query(src.coords(ns.pos[rows]) * sp)[0]
             assert d.tolist() == ns.dist[rows].tolist()
 
@@ -689,7 +688,8 @@ def test_lesion_metrics_memory_budget(variant):
     ov = overlap(gt, pred)
     matches = match_lesions(gt, pred, ov, tau=0.0).matches
     kept = sum(
-        int(gt.surface[gt.run(g)].sum() + pred.surface[pred.run(p)].sum()) for g, p, _ in matches
+        int(ls.surface[np.isin(ls.label, [m[i] for m in matches])].sum())
+        for i, ls in enumerate((gt, pred))
     )
     assert kept > 0.9 * n
     d = surface_distances(gt, pred, (1.0, 1.0, 1.0))

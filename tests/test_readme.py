@@ -1,6 +1,7 @@
 """README's examples against the code: the library example runs, every command parses,
-and README names exactly the CLI's flags."""
+and README names exactly the CLI's flags and ``LesionSet``'s fields."""
 import argparse
+import dataclasses
 import re
 import shlex
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 
 from conftest import random_blob_mask
 from lesioneval.cli import build_parser
+from lesioneval.components import LesionSet
 from lesioneval.nifti import write_volume
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -60,3 +62,17 @@ def test_readme_names_every_cli_flag():
         if flag.startswith("--")
     }
     assert named == defined
+
+
+def test_readme_names_exactly_lesion_set_fields():
+    # README's LesionSet paragraph names each field in parentheses, in field
+    # order, and every method it or the rest of README names exists: a field
+    # or method added, renamed or dropped on one side only fails here (the
+    # paragraph once documented a run(id) the class no longer had)
+    text = README.read_text()
+    (para,) = re.findall(r"^A `LesionSet` holds .*?(?=\n\n)", text, re.M | re.S)
+    fields = [f.name for f in dataclasses.fields(LesionSet)]
+    assert re.findall(r"\(`(\w+)`\)", para) == fields
+    methods = set(re.findall(r"`(\w+)\(", para)) - {"len"}
+    attrs = set(re.findall(r"`LesionSet\.(\w+)", text))
+    assert methods and all(hasattr(LesionSet, a) or a in fields for a in methods | attrs)

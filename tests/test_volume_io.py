@@ -14,6 +14,7 @@ from lesioneval.errors import (
     UnsupportedDatatype,
 )
 from lesioneval.nifti import VOX_OFFSET, read_foreground, read_volume, write_volume
+from lesioneval.pipeline import RunConfig, evaluate_pair
 from lesioneval.volume import Foreground, Volume, binarize, check_compatibility
 
 
@@ -181,16 +182,37 @@ def test_single_file_vox_offset_inside_header_rejected(tmp_path, offset):
 
 
 @pytest.mark.parametrize(
-    "spacing", [(np.nan, 1, 1), (1, np.inf, 1), (1, 1, -np.inf), (0, 1, 1), (1e200, 1, 1)]
+    "spacing",
+    [(np.nan, 1, 1), (1, np.inf, 1), (1, 1, -np.inf), (0, 1, 1), (1e200, 1, 1), (1, 1e-200, 1)],
 )
 def test_volume_rejects_bad_spacing(spacing):
     with pytest.raises(ValueError, match="spacing"):
         Volume(np.zeros((2, 2, 2), dtype=np.uint8), spacing)
 
 
+def test_spacing_bound_is_the_smallest_pixdim():
+    # a spacing below the smallest nonzero float32 pixdim squares to 0 or to a
+    # subnormal: at 1e-200 mm two lesions one voxel apart were 0.0 mm apart.
+    # At the bound itself each distance is exact
+    bottom = float(np.finfo(np.float32).smallest_subnormal)
+    with pytest.raises(ValueError, match="spacing"):
+        Volume(np.zeros((2, 2, 2), dtype=np.uint8), (np.nextafter(bottom, 0), 1, 1))
+    gt = np.zeros((6, 5, 3), dtype=np.uint8)
+    pred = gt.copy()
+    gt[1:3, 1:3, 1] = pred[2:4, 1:3, 1] = 1
+    s = evaluate_pair(
+        "x", Volume(gt, (bottom, 1, 1)), Volume(pred, (bottom, 1, 1)), RunConfig(tau=0.0)
+    )
+    assert (s.image.voxel_hd95_mm, s.image.assd_mm) == (bottom, bottom / 2)
+    assert s.pairs.hd95_mm.tolist() == [bottom]
+
+
 @pytest.mark.parametrize(
     "spacing",
-    [(-1.0, 2.0, 1.0), (0.0, 2.0, 1.0), (1, np.nan, 1), (1, 1, np.inf), (1, 1, 1e39)],
+    [
+        (-1.0, 2.0, 1.0), (0.0, 2.0, 1.0), (1, np.nan, 1), (1, 1, np.inf), (1, 1, 1e39),
+        (1, 1, 1e-300),
+    ],
 )
 def test_foreground_rejects_bad_spacing(spacing):
     # a negative or zero spacing used to give lesion volumes of -6.0 or 0.0 mm^3
