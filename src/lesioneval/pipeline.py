@@ -66,10 +66,16 @@ def check_sample_id(sample_id: str) -> None:
 
     Sample ids name report files, so they must name one file in
     ``samples/``: not empty, not ``.`` or ``..``, and no ``/``, ``\\`` or
-    NUL, which no file name can hold.
+    NUL, which no file name can hold. ``<sample_id>.json`` must also fit
+    in 255 bytes of UTF-8, the longest file name Linux allows.
     """
     if sample_id in ("", ".", "..") or any(c in sample_id for c in "/\\\0"):
         raise ValueError(f"sample_id {sample_id!r} is not a plain file name")
+    if len(sample_id.encode("utf-8")) > 255 - len(".json"):
+        raise ValueError(
+            f"sample_id {sample_id!r} is not a plain file name: "
+            "over 250 bytes in UTF-8"
+        )
 
 
 def evaluate_pair(

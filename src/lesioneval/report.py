@@ -46,7 +46,7 @@ def _sample_payload(s: SampleResult, config: RunConfig) -> dict:
 
 def _write_text(path: str, text: str) -> None:
     try:
-        with open(path, "w", newline="") as f:
+        with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
     except OSError as e:
         raise IoFailure(f"cannot write {path}: {e}") from e

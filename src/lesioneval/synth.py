@@ -1,4 +1,4 @@
-"""Synthetic mask pairs with known lesion correspondences.
+"""Synthetic GT/prediction mask pairs with controlled lesion perturbations.
 
 Used for the acceptance suite, constructed regression cases and the
 benchmark's inputs. Generation is a pure function of (params, seed); the
@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .components import find_connected_components
 from .errors import PlacementFailure
 from .volume import Volume
 
@@ -42,11 +41,8 @@ class SynthParams:
 
 @dataclass
 class SynthCase:
-    seed: int
     gt: Volume
     pred: Volume
-    truth_pairs: list[tuple[int, int]]  # (gt lesion id, pred lesion id)
-    perturbation_log: list[str]
 
 
 def _near(rng: np.random.Generator, side: float) -> int:
@@ -170,7 +166,7 @@ def _morph(vox: np.ndarray, dims: tuple, iterations: int, op: str) -> np.ndarray
 
 
 def generate_case(params: SynthParams, seed: int) -> SynthCase:
-    """Build a GT/prediction pair with recorded intended correspondences."""
+    """Build a GT mask and a perturbed prediction mask."""
     for k in params.kinds:
         if k not in KINDS:
             raise ValueError(f"unknown perturbation kind {k!r}")
@@ -180,10 +176,9 @@ def generate_case(params: SynthParams, seed: int) -> SynthCase:
     pred_arr = np.zeros(dims, dtype=np.uint8)
     occupied = np.zeros(dims, dtype=bool)
     margin = params.shift_max + params.dilate_max + 2
-    log: list[str] = []
 
-    # (gt voxel array, intended pred voxel array or None)
-    placed: list[tuple[np.ndarray, np.ndarray | None]] = []
+    # predicted voxels of each lesion the prediction keeps; merges bridge two
+    pred_blobs: list[np.ndarray] = []
     for bin_name in ("VerySmall", "Small", "Medium", "Large"):
         n = params.counts.get(bin_name, 0)
         lo, hi = BIN_SIZE_RANGES[bin_name]
@@ -222,73 +217,33 @@ def generate_case(params: SynthParams, seed: int) -> SynthCase:
                 pred_vox = _morph(
                     vox, dims, int(rng.integers(1, params.erode_max + 1)), "erode"
                 )
-                if len(pred_vox) == 0:
-                    pred_vox = None
-                    kind = "erode->empty"
             elif kind == "split":
                 axis = int(np.argmax(vox.max(axis=0) - vox.min(axis=0)))
                 cut = (vox[:, axis].min() + vox[:, axis].max()) // 2
                 pred_vox = vox[vox[:, axis] != cut]
-                if len(pred_vox) == 0:
-                    pred_vox = None
             elif kind == "drop":
                 pred_vox = None
-            log.append(f"lesion {len(placed)}: {kind}")
             if pred_vox is not None and len(pred_vox) > 0:
                 _paint(pred_arr, pred_vox)
-                placed.append((vox, pred_vox))
-            else:
-                placed.append((vox, None))
+                pred_blobs.append(pred_vox)
 
-    # merges: bridge intended pred blobs pairwise; the larger GT keeps the pair
-    merged_away: set[int] = set()
-    candidates = [i for i, (_, pv) in enumerate(placed) if pv is not None]
+    # merges: bridge the centroids of two predicted lesions
     for _ in range(params.merge_pairs):
-        if len(candidates) < 2:
+        if len(pred_blobs) < 2:
             break
-        i, j = rng.choice(len(candidates), size=2, replace=False)
-        a, b = candidates[int(i)], candidates[int(j)]
-        ca = placed[a][1].mean(axis=0)
-        cb = placed[b][1].mean(axis=0)
+        i, j = rng.choice(len(pred_blobs), size=2, replace=False)
+        ca = pred_blobs[int(i)].mean(axis=0)
+        cb = pred_blobs[int(j)].mean(axis=0)
         steps = int(np.abs(ca - cb).max()) * 2 + 2
         line = np.round(np.linspace(ca, cb, steps)).astype(int)
         _paint(pred_arr, _clip(line, dims))
-        smaller = a if len(placed[a][0]) <= len(placed[b][0]) else b
-        merged_away.add(smaller)
-        log.append(f"merge: lesions {a} and {b}, pair kept by larger")
 
     for _ in range(params.n_spurious):
         target = int(rng.integers(1, 60))
         shape = _rect_voxels(rng, target, dims)
         vox = _place(rng, shape, occupied, margin, params.max_tries)
-        if vox is None:
-            log.append("spurious: placement failed, skipped")
-            continue
-        _paint(pred_arr, vox)
-        log.append(f"spurious blob of {target} voxels")
+        if vox is not None:
+            _paint(pred_arr, vox)
 
     spacing = tuple(params.spacing)
-    gt = Volume(gt_arr, spacing)
-    pred = Volume(pred_arr, spacing)
-
-    gt_map = find_connected_components(gt, 6).label_map
-    pred_map = find_connected_components(pred, 6).label_map
-    truth_pairs: list[tuple[int, int]] = []
-    seen_pred: set[int] = set()
-    for idx, (gvox, pvox) in enumerate(placed):
-        if pvox is None or idx in merged_away:
-            continue
-        gx, gy, gz = gvox[0]
-        gid = int(gt_map[gx, gy, gz])
-        # representative voxel of the largest intended fragment
-        labels = pred_map[pvox[:, 0], pvox[:, 1], pvox[:, 2]]
-        labels = labels[labels > 0]
-        if len(labels) == 0:
-            continue
-        pid = int(np.bincount(labels).argmax())
-        if gid == 0 or pid in seen_pred:
-            continue
-        seen_pred.add(pid)
-        truth_pairs.append((gid, pid))
-    truth_pairs.sort()
-    return SynthCase(seed, gt, pred, truth_pairs, log)
+    return SynthCase(Volume(gt_arr, spacing), Volume(pred_arr, spacing))

@@ -415,9 +415,11 @@ def test_corrupt_gzip_fails_one_sample(tmp_path, capsys):
         ["extra", "b_gt.nii.gz", "b_pred.nii.gz", "netB"],
         ["a\0b", "b_gt.nii.gz", "b_pred.nii.gz"],
         [" ", "b_gt.nii.gz", "b_pred.nii.gz"],
+        ["b" * 251, "b_gt.nii.gz", "b_pred.nii.gz"],
+        ["é" * 126, "b_gt.nii.gz", "b_pred.nii.gz"],
     ],
     ids=["slash", "backslash", "parent-escape", "dotdot", "dot", "short-row",
-         "extra-cell", "nul", "blank"],
+         "extra-cell", "nul", "blank", "251-bytes", "252-bytes-multibyte"],
 )
 def test_bad_manifest_row_rejected(tmp_path, capsys, bad_row):
     rng = np.random.default_rng(8)
@@ -562,3 +564,48 @@ def test_manifest_with_utf8_bom(tmp_path):
     (row,) = read_manifest(str(manifest))
     assert row.sample_id == "a"
     assert main(["evaluate", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("sample_id", ["a" * 250, "é" * 125], ids=["ascii", "multibyte"])
+def test_sample_id_of_250_bytes_evaluates(tmp_path, sample_id):
+    # <id>.json is then 255 bytes, the longest file name Linux allows
+    g, p = _make_pair(tmp_path, "a", np.random.default_rng(16))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(f"sample_id,gt_path,pred_path\n{sample_id},{g},{p}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["evaluate", "--manifest", str(manifest), "--out", str(out)]) == 0
+    assert (out / "samples" / f"{sample_id}.json").is_file()
+
+
+def test_csv_reports_are_utf8_whatever_the_locale(tmp_path):
+    # report files used to be written in the locale's encoding: under the C
+    # locale a model_tag of "modèle" raised UnicodeEncodeError half way through
+    # the CSVs
+    import subprocess
+    import sys
+
+    import lesioneval
+
+    src = os.path.dirname(os.path.dirname(lesioneval.__file__))
+    g, p = _make_pair(tmp_path, "a", np.random.default_rng(17))
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text(
+        f"sample_id,gt_path,pred_path,model_tag\na,{g},{p},modèle\n", encoding="utf-8"
+    )
+    envs = {
+        "c-locale": {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+        "utf8-mode": {"PYTHONUTF8": "1"},
+    }
+    csvs = {}
+    for name, env in envs.items():
+        out = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, "-m", "lesioneval.cli", "evaluate",
+             "--manifest", str(manifest), "--out", str(out)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": src, **env},
+        )
+        assert done.returncode == 0, done.stderr
+        csvs[name] = [(out / f).read_bytes() for f in ("stratified.csv", "lesions.csv")]
+    assert csvs["c-locale"] == csvs["utf8-mode"]
+    assert "modèle".encode("utf-8") in csvs["c-locale"][0]

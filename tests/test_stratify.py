@@ -186,10 +186,14 @@ def test_emit_reports_rejects_escaping_sample_id(tmp_path, rng):
     assert list(tmp_path.iterdir()) == []  # not even out/ was made
 
 
-@pytest.mark.parametrize("sample_id", ["", "a\0b"], ids=["empty", "nul"])
+@pytest.mark.parametrize(
+    "sample_id", ["", "a\0b", "a" * 251, "é" * 126],
+    ids=["empty", "nul", "251-bytes", "252-bytes-multibyte"],
+)
 def test_emit_reports_rejects_unnameable_sample_id(tmp_path, rng, sample_id):
-    # "" used to write samples/.json; a NUL failed in open() once samples/
-    # existed, leaving a run with no summary.json
+    # "" used to write samples/.json; a NUL, or an id whose <id>.json is over
+    # 255 bytes, failed in open() once samples/ existed, leaving a run with no
+    # summary.json
     v = random_blob_mask(rng, (10, 10, 10), 0.2)
     s = evaluate_pair(sample_id, v, v, RunConfig())
     with pytest.raises(ValueError, match="plain file name"):

@@ -1,6 +1,10 @@
+import hashlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from lesioneval import synth
 from lesioneval.components import find_connected_components
 from lesioneval.errors import PlacementFailure
 from lesioneval.synth import (
@@ -12,6 +16,7 @@ from lesioneval.synth import (
 from oracles import whole_grid_morph
 
 ALL_BINS = {"VerySmall": 2, "Small": 3, "Medium": 2, "Large": 1}
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_no_perturbation_pred_equals_gt():
@@ -20,14 +25,12 @@ def test_no_perturbation_pred_equals_gt():
     assert np.array_equal(c.gt.data, c.pred.data)
     n = len(find_connected_components(c.gt))
     assert n == sum(ALL_BINS.values())
-    assert len(c.truth_pairs) == n
 
 
 def test_drop_all():
     params = SynthParams(counts={"Small": 3}, kinds=("drop",))
     c = generate_case(params, 2)
     assert c.pred.foreground_count() == 0
-    assert c.truth_pairs == []
 
 
 def test_seeded_determinism():
@@ -44,8 +47,6 @@ def test_seeded_determinism():
     b = generate_case(params, 99)
     assert np.array_equal(a.gt.data, b.gt.data)
     assert np.array_equal(a.pred.data, b.pred.data)
-    assert a.truth_pairs == b.truth_pairs
-    assert a.perturbation_log == b.perturbation_log
 
 
 def test_lesion_sizes_fall_in_requested_bins():
@@ -57,26 +58,6 @@ def test_lesion_sizes_fall_in_requested_bins():
     got = sorted(categorize(n).name for n in ls.sizes.tolist())
     want = sorted(name for name, n in ALL_BINS.items() for _ in range(n))
     assert got == want
-
-
-def test_truth_pairs_reference_real_lesions():
-    params = SynthParams(
-        dims=(100, 100, 1),
-        counts={"Small": 4, "Medium": 2},
-        kinds=("none", "shift", "erode"),
-        shift_max=1,
-        erode_max=1,
-        n_spurious=1,
-    )
-    c = generate_case(params, 3)
-    gt_ls = find_connected_components(c.gt)
-    pred_ls = find_connected_components(c.pred)
-    for g, p in c.truth_pairs:
-        assert 1 <= g <= len(gt_ls)
-        assert 1 <= p <= len(pred_ls)
-    gts = [g for g, _ in c.truth_pairs]
-    preds = [p for _, p in c.truth_pairs]
-    assert len(set(gts)) == len(gts) and len(set(preds)) == len(preds)
 
 
 def test_3d_generation():
@@ -94,19 +75,37 @@ def test_placement_failure():
         generate_case(params, 0)
 
 
-def test_spurious_and_merge_logged():
-    params = SynthParams(
-        dims=(120, 120, 1),
-        counts={"Medium": 4},
-        kinds=("none",),
-        n_spurious=2,
-        merge_pairs=1,
-    )
-    c = generate_case(params, 11)
-    assert any("spurious" in line for line in c.perturbation_log)
-    assert any("merge" in line for line in c.perturbation_log)
-    # merged pair keeps one truth pair; spurious blobs add none
-    assert len(c.truth_pairs) == 3
+def test_spurious_and_merge_only_add_pred_voxels():
+    # merges and spurious blobs draw after every lesion, so both runs share
+    # the lesions' RNG draws
+    base = dict(dims=(120, 120, 1), counts={"Medium": 4}, kinds=("none",))
+    plain = generate_case(SynthParams(**base), 11)
+    extra = generate_case(SynthParams(**base, n_spurious=2, merge_pairs=1), 11)
+    assert np.array_equal(plain.gt.data, extra.gt.data)
+    plain_fg, extra_fg = plain.pred.data != 0, extra.pred.data != 0
+    assert np.all(extra_fg[plain_fg])
+    assert extra_fg.sum() > plain_fg.sum()
+
+
+# SHA-256 of gt and pred bytes of the benchmark's ms-cohort case seeds
+MS_COHORT_MASKS = {
+    0: ("dceda807be350a0d7ea8e2c442f4d957230404591432ff8cd9bacbc98fd0596b",
+        "4a4e1d13f1a847e896242991bd3a62c05bf019826418ac201dcf2a5295f9b7d2"),
+    1: ("783b408f0fd7ab5fc0dd5f307201f5c76b81db62bbaa99cc7f2b50c95a14471a",
+        "5c1e862bfa40ff026cb5a60edaeea2ac11defc74c060b88e60bc93f6ea72d463"),
+}
+
+
+@pytest.mark.parametrize("case_seed", sorted(MS_COHORT_MASKS))
+def test_benchmark_masks_are_pinned(monkeypatch, case_seed):
+    # the benchmark's ms-cohort inputs come from generate_case; a change meant
+    # to keep them must keep these hashes
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import gen
+
+    c = generate_case(gen.ms_synth_params(synth), case_seed)
+    got = tuple(hashlib.sha256(v.data.tobytes()).hexdigest() for v in (c.gt, c.pred))
+    assert got == MS_COHORT_MASKS[case_seed]
 
 
 def test_bin_size_ranges_align_with_bins():
