@@ -9,7 +9,6 @@ from .components import (  # noqa: E402,F401
     find_connected_components,
 )
 from .matching import (  # noqa: E402,F401
-    MatchSet,
     Overlap,
     generate_candidates,
     greedy_match,
@@ -17,15 +16,13 @@ from .matching import (  # noqa: E402,F401
     overlap,
 )
 from .metrics import (  # noqa: E402,F401
-    DetectionCounts,
     ImageMetrics,
     LesionPairMetrics,
     SurfaceDistances,
     compute_image_metrics,
-    compute_instance_metrics,
     compute_lesion_metrics,
     surface_distances,
 )
 from .nifti import read_foreground, read_volume, write_volume  # noqa: E402,F401
 from .pipeline import ManifestRow, RunConfig, evaluate_pair, evaluate_sample  # noqa: E402,F401
-from .stratify import SIZE_BINS, SizeBin, categorize, rollup, stratify  # noqa: E402,F401
+from .stratify import DetectionCounts, rollup, stratify  # noqa: E402,F401

@@ -11,15 +11,6 @@ DEFAULT_TAU = 0.35
 
 
 @dataclass(frozen=True)
-class MatchSet:
-    """One-to-one correspondence plus unmatched residues."""
-
-    matches: list[tuple[int, int, float]]  # (gt_id, pred_id, iou), acceptance order
-    unmatched_gt: list[int]  # false negatives
-    unmatched_pred: list[int]  # false positives
-
-
-@dataclass(frozen=True)
 class Overlap:
     """Each GT/predicted lesion pair that shares voxels, by (gt_id, pred_id)."""
 
@@ -84,14 +75,8 @@ def greedy_match(candidates: list[tuple[int, int, float]]) -> list[tuple[int, in
 
 def match_lesions(
     gt: LesionSet, pred: LesionSet, ov: Overlap, tau: float = DEFAULT_TAU
-) -> MatchSet:
-    """Full matching: candidates from ``ov``, greedy resolution, FP/FN residues."""
+) -> list[tuple[int, int, float]]:
+    """Candidates from ``ov``, greedy resolution: ``(gt_id, pred_id, iou)`` as accepted."""
     if not 0.0 <= tau < 1.0:
         raise ValueError(f"tau must be in [0, 1), got {tau}")
-    matches = greedy_match(generate_candidates(gt, pred, ov, tau))
-
-    def unmatched(ls: LesionSet, side: int) -> list[int]:
-        taken = {m[side] for m in matches}
-        return [i for i in range(1, len(ls) + 1) if i not in taken]
-
-    return MatchSet(matches, unmatched(gt, 0), unmatched(pred, 1))
+    return greedy_match(generate_candidates(gt, pred, ov, tau))

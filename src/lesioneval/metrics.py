@@ -1,4 +1,4 @@
-"""Overlap, surface-distance and detection metrics."""
+"""Overlap and surface-distance metrics."""
 from __future__ import annotations
 
 import functools
@@ -8,7 +8,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .components import LesionSet
-from .matching import MatchSet, Overlap, dice_counts, intersect_sorted, iou_counts
+from .matching import Overlap, dice_counts, intersect_sorted, iou_counts
 from .volume import GRID_PAD, index_dtype
 
 
@@ -37,16 +37,6 @@ class LesionPairMetrics(Columns):
     pred_vox: np.ndarray
     volume_error_rel: np.ndarray  # (pred - gt) / gt
     size_ratio: np.ndarray  # pred / gt
-
-
-@dataclass(frozen=True)
-class DetectionCounts:
-    tp: int
-    fp: int
-    fn: int
-    precision: float | None
-    recall: float | None
-    f1: float | None
 
 
 @dataclass(frozen=True)
@@ -343,26 +333,6 @@ def compute_lesion_metrics(
         dice=dice_counts(inter, gv, pv), iou=iou_counts(inter, gv, pv), hd95_mm=hd,
         gt_vox=gv, pred_vox=pv, volume_error_rel=(pv - gv) / gv, size_ratio=pv / gv,
     )
-
-
-def detection_rates(
-    tp: int, fp: int, fn: int
-) -> tuple[float | None, float | None, float | None]:
-    precision = tp / (tp + fp) if tp + fp > 0 else None
-    recall = tp / (tp + fn) if tp + fn > 0 else None
-    f1 = None
-    if precision is not None and recall is not None and precision + recall > 0:
-        f1 = 2 * precision * recall / (precision + recall)
-    return precision, recall, f1
-
-
-def compute_instance_metrics(m: MatchSet) -> DetectionCounts:
-    """Lesion-level TP/FP/FN and the derived detection rates."""
-    tp = len(m.matches)
-    fn = len(m.unmatched_gt)
-    fp = len(m.unmatched_pred)
-    precision, recall, f1 = detection_rates(tp, fp, fn)
-    return DetectionCounts(tp, fp, fn, precision, recall, f1)
 
 
 def compute_image_metrics(

@@ -9,14 +9,9 @@ from dataclasses import dataclass
 from .components import find_connected_components
 from .errors import ManifestParseError
 from .matching import DEFAULT_TAU, match_lesions, overlap
-from .metrics import (
-    compute_image_metrics,
-    compute_instance_metrics,
-    compute_lesion_metrics,
-    surface_distances,
-)
+from .metrics import compute_image_metrics, compute_lesion_metrics, surface_distances
 from .nifti import read_foreground
-from .stratify import SampleResult, stratify
+from .stratify import DetectionCounts, SampleResult, detection_rates, stratify
 from .volume import Foreground, Volume, binarize, check_compatibility
 
 
@@ -67,7 +62,8 @@ def check_sample_id(sample_id: str) -> None:
     Sample ids name report files, so they must name one file in
     ``samples/``: not empty, not ``.`` or ``..``, and no ``/``, ``\\`` or
     NUL, which no file name can hold. ``<sample_id>.json`` must also fit
-    in 255 bytes of UTF-8, the longest file name Linux allows.
+    in 255 bytes of UTF-8, the longest file name Linux allows, and the
+    file-system encoding (ASCII under a bare C locale) must encode it.
     """
     if sample_id in ("", ".", "..") or any(c in sample_id for c in "/\\\0"):
         raise ValueError(f"sample_id {sample_id!r} is not a plain file name")
@@ -76,6 +72,10 @@ def check_sample_id(sample_id: str) -> None:
             f"sample_id {sample_id!r} is not a plain file name: "
             "over 250 bytes in UTF-8"
         )
+    try:
+        os.fsencode(sample_id)
+    except UnicodeEncodeError:
+        raise ValueError(f"sample_id {sample_id!r} is not a file name in this locale") from None
 
 
 def evaluate_pair(
@@ -105,18 +105,17 @@ def _evaluate(
     gt_ls = find_connected_components(gt, config.connectivity)
     pred_ls = find_connected_components(pred, config.connectivity)
     ov = overlap(gt_ls, pred_ls)
-    match = match_lesions(gt_ls, pred_ls, ov, config.tau)
+    matches = match_lesions(gt_ls, pred_ls, ov, config.tau)
     dists = surface_distances(gt_ls, pred_ls, spacing)
-    pairs = compute_lesion_metrics(
-        gt_ls, pred_ls, ov, match.matches, dists, config.hd95_variant
-    )
-    detection = compute_instance_metrics(match)
+    pairs = compute_lesion_metrics(gt_ls, pred_ls, ov, matches, dists, config.hd95_variant)
     image = compute_image_metrics(gt_ls, pred_ls, ov, config.hd95_variant, dists)
-    per_bin, records = stratify(gt_ls, pred_ls, match, pairs)
+    per_bin, records = stratify(gt_ls, pred_ls, pairs)
+    # the lesion table is the one tally of each lesion's outcome
+    tp, fp, fn = (sum(getattr(b, k) for b in per_bin.values()) for k in ("tp", "fp", "fn"))
     return SampleResult(
         sample_id=sample_id,
         model_tag=model_tag,
-        detection=detection,
+        detection=DetectionCounts(tp, fp, fn, *detection_rates(tp, fp, fn)),
         image=image,
         pairs=pairs,
         per_bin=per_bin,

@@ -6,39 +6,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from .components import LesionSet
-from .matching import MatchSet
-from .metrics import Columns, DetectionCounts, ImageMetrics, LesionPairMetrics, detection_rates
+from .metrics import Columns, ImageMetrics, LesionPairMetrics
 
-
-@dataclass(frozen=True)
-class SizeBin:
-    name: str
-    lower_vox: int  # inclusive
-    upper_vox: int | None  # exclusive; None = unbounded
-
-
-# Half-open lower-inclusive bins partitioning [1, inf): each ends where the next begins.
-SIZE_BINS = (
-    SizeBin("VerySmall", 1, 10),
-    SizeBin("Small", 10, 100),
-    SizeBin("Medium", 100, 400),
-    SizeBin("Large", 400, None),
-)
-BIN_NAMES = tuple(b.name for b in SIZE_BINS)
-_LOWER_VOX = np.array([b.lower_vox for b in SIZE_BINS])
+# Half-open bins partitioning [1, inf): bin i holds [_LOWER_VOX[i], _LOWER_VOX[i + 1]).
+BIN_NAMES = ("VerySmall", "Small", "Medium", "Large")
+_LOWER_VOX = np.array([1, 10, 100, 400])
 
 
 def bin_index(volume_vox: np.ndarray) -> np.ndarray:
-    """The position in ``SIZE_BINS`` of each voxel count's bin."""
+    """The position in ``BIN_NAMES`` of each voxel count's bin."""
     volume_vox = np.asarray(volume_vox)
     if np.any(volume_vox < 1):
         raise ValueError(f"lesion volume must be >= 1 voxel, got {volume_vox.min()}")
     return np.searchsorted(_LOWER_VOX, volume_vox, side="right") - 1
 
 
-def categorize(volume_vox: int) -> SizeBin:
-    """The unique size bin whose half-open interval contains the count."""
-    return SIZE_BINS[bin_index(volume_vox)]
+@dataclass(frozen=True)
+class DetectionCounts:
+    tp: int
+    fp: int
+    fn: int
+    precision: float | None
+    recall: float | None
+    f1: float | None
+
+
+def detection_rates(
+    tp: int, fp: int, fn: int
+) -> tuple[float | None, float | None, float | None]:
+    precision = tp / (tp + fp) if tp + fp > 0 else None
+    recall = tp / (tp + fn) if tp + fn > 0 else None
+    f1 = None
+    if precision is not None and recall is not None and precision + recall > 0:
+        f1 = 2 * precision * recall / (precision + recall)
+    return precision, recall, f1
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,17 +118,18 @@ def aggregate_bins(tables: list[LesionTable]) -> dict[str, BinAggregate]:
 
 
 def stratify(
-    gt: LesionSet,
-    pred: LesionSet,
-    match: MatchSet,
-    pairs: LesionPairMetrics,
+    gt: LesionSet, pred: LesionSet, pairs: LesionPairMetrics
 ) -> tuple[dict[str, BinAggregate], LesionTable]:
     """Assign TP/FN to bins by GT lesion size, FP by predicted lesion size.
 
-    An FP has no GT counterpart, so its own size decides its bin; this
-    choice affects per-bin precision and is deliberate.
+    The GT lesions in ``pairs`` are the TPs and the others the FNs; the
+    predicted lesions not in ``pairs`` are the FPs. An FP has no GT
+    counterpart, so its own size decides its bin; this choice affects
+    per-bin precision and is deliberate.
     """
-    fp_id = np.array(match.unmatched_pred, np.intp)
+    unmatched = np.ones(len(pred), bool)
+    unmatched[pairs.pred_id - 1] = False
+    fp_id = np.flatnonzero(unmatched) + 1
     sizes = np.concatenate([gt.sizes, pred.sizes[fp_id - 1]])  # each row's own lesion
     n_gt, n = len(gt), sizes.size
     tp, fp = pairs.gt_id - 1, np.arange(n_gt, n)  # the rows of the TPs and of the FPs

@@ -95,9 +95,9 @@ def _ellipsoid_voxels(rng: np.random.Generator, target: int, dims3: tuple) -> np
 
 
 def _in_bin(count: int, bin_name: str) -> bool:
-    from .stratify import categorize
+    from .stratify import BIN_NAMES, bin_index
 
-    return count >= 1 and categorize(count).name == bin_name
+    return count >= 1 and BIN_NAMES[bin_index(count)] == bin_name
 
 
 def _place(

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from lesioneval.matching import overlap
+from lesioneval.metrics import compute_lesion_metrics, surface_distances
+from lesioneval.stratify import stratify
 from lesioneval.volume import Volume
 
 
@@ -62,6 +65,19 @@ def assert_lesion_set_fields(ls, dtype) -> None:
 def rows_of(table) -> list[SimpleNamespace]:
     """A column table's rows, each with one attribute of Python scalars per column."""
     return [SimpleNamespace(**r) for r in table.rows()]
+
+
+def ids_of(table, status: str) -> list[int]:
+    """The lesion ids of a lesion table's rows of one status, in row order."""
+    return table.lesion_id[table.status == status].tolist()
+
+
+def fn_fp_ids(gt, pred, matches) -> tuple[list[int], list[int]]:
+    """The FN and the FP ids of the lesion table that ``stratify`` builds from ``matches``."""
+    ov = overlap(gt, pred)
+    pairs = compute_lesion_metrics(gt, pred, ov, matches, surface_distances(gt, pred, (1, 1, 1)))
+    table = stratify(gt, pred, pairs)[1]
+    return ids_of(table, "FN"), ids_of(table, "FP")
 
 
 def columns_equal(a, b) -> bool:

@@ -3,8 +3,9 @@
 Deliberately share no code with the production modules: flood-fill BFS
 and scipy's whole-grid labeller instead of the foreground-voxel graph,
 a full IoU table instead of the per-box label count, exhaustive pairwise
-distances instead of nearest-neighbor queries, and whole-grid morphology
-instead of work inside lesion boxes.
+distances instead of nearest-neighbor queries, whole-grid morphology
+instead of work inside lesion boxes, and size bins read off their stated
+edges instead of a search over lower bounds.
 """
 from __future__ import annotations
 
@@ -16,6 +17,23 @@ from scipy import ndimage
 from scipy.spatial import cKDTree
 
 _OFFSETS_6 = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)]
+
+
+# (name, lower, upper) of each size bin: [lower, upper) voxels, None = unbounded
+SIZE_BIN_EDGES = (
+    ("VerySmall", 1, 10),
+    ("Small", 10, 100),
+    ("Medium", 100, 400),
+    ("Large", 400, None),
+)
+
+
+def categorize(volume_vox: int) -> str:
+    """The name of the size bin whose half-open interval holds the voxel count."""
+    for name, lower, upper in SIZE_BIN_EDGES:
+        if lower <= volume_vox and (upper is None or volume_vox < upper):
+            return name
+    raise ValueError(f"lesion volume must be >= 1 voxel, got {volume_vox}")
 
 
 def _offsets(connectivity: int) -> list[tuple[int, int, int]]:

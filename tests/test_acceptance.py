@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import lesion_voxel_sets, mask_from_voxels, random_blob_mask, rows_of
+from conftest import ids_of, lesion_voxel_sets, mask_from_voxels, random_blob_mask, rows_of
 from lesioneval.cli import main
 from lesioneval.components import find_connected_components
 from lesioneval.matching import generate_candidates, match_lesions, overlap
@@ -23,10 +23,10 @@ from lesioneval.metrics import (
 from lesioneval.nifti import read_volume, write_volume
 from lesioneval.pipeline import RunConfig, evaluate_pair
 from lesioneval.report import emit_reports
-from lesioneval.stratify import BIN_NAMES, categorize
+from lesioneval.stratify import BIN_NAMES, bin_index
 from lesioneval.synth import SynthParams, generate_case
 from lesioneval.volume import Volume
-from oracles import brute_surface_distances, flood_fill_components, naive_match
+from oracles import brute_surface_distances, categorize, flood_fill_components, naive_match
 
 
 def _ok(n: int, label: str) -> None:
@@ -45,10 +45,8 @@ def test_criterion_01_matching_oracle_equivalence():
         psets = lesion_voxel_sets(pred)
         for tau in (0.1, 0.35, 0.6):
             m = match_lesions(gt, pred, overlap(gt, pred), tau)
-            om, ofn, ofp = naive_match(gsets, psets, tau)
-            assert m.matches == om  # (gt_id, pred_id, iou) triples, IoU exact
-            assert m.unmatched_gt == ofn
-            assert m.unmatched_pred == ofp
+            # (gt_id, pred_id, iou) triples, IoU exact; FN/FP ids: criterion 5
+            assert m == naive_match(gsets, psets, tau)[0]
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"matching oracle suite took {elapsed:.1f}s"
     _ok(1, "matching oracle equivalence")
@@ -103,7 +101,7 @@ def test_criterion_04_dice_iou_identity():
         psets = lesion_voxel_sets(pred)
         dists = surface_distances(gt, pred, (1, 1, 1))
         ov = overlap(gt, pred)
-        matches = match_lesions(gt, pred, ov, 0.1).matches
+        matches = match_lesions(gt, pred, ov, 0.1)
         for m in rows_of(compute_lesion_metrics(gt, pred, ov, matches, dists)):
             g, p = m.gt_id, m.pred_id
             assert abs(m.dice - 2 * m.iou / (1 + m.iou)) < 1e-12
@@ -121,7 +119,14 @@ def test_criterion_05_conservation():
         gt = random_blob_mask(rng, (18, 18, 18), rng.uniform(0.1, 0.35))
         pred = random_blob_mask(rng, (18, 18, 18), rng.uniform(0.1, 0.35))
         s = evaluate_pair("x", gt, pred, RunConfig(tau=0.2))
+        # the lesion table decides each lesion's outcome: its FN and FP ids
+        # are the naive matcher's unmatched lesions, and detection counts them
+        _, ofn, ofp = naive_match(
+            *(lesion_voxel_sets(find_connected_components(v, 6)) for v in (gt, pred)), 0.2
+        )
+        assert (ids_of(s.records, "FN"), ids_of(s.records, "FP")) == (ofn, ofp)
         d = s.detection
+        assert (d.fn, d.fp) == (len(ofn), len(ofp))
         assert d.tp + d.fn == s.gt_lesions
         assert d.tp + d.fp == s.pred_lesions
         assert sum(s.per_bin[n].tp for n in BIN_NAMES) == d.tp
@@ -134,7 +139,7 @@ def test_criterion_06_size_bin_contract():
     mapping = {1: "VerySmall", 9: "VerySmall", 10: "Small", 99: "Small",
                100: "Medium", 399: "Medium", 400: "Large", 10000: "Large"}
     for vox, name in mapping.items():
-        assert categorize(vox).name == name
+        assert BIN_NAMES[bin_index(vox)] == categorize(vox) == name
     _ok(6, "size-bin boundaries")
 
 
@@ -166,9 +171,9 @@ def test_criterion_08_tau_threshold_semantics():
     gt = find_connected_components(mask_from_voxels(square, (6, 6, 2)))
     pred = find_connected_components(mask_from_voxels(shifted, (6, 6, 2)))
     assert generate_candidates(gt, pred, overlap(gt, pred), tau=0.35) == []
-    assert match_lesions(gt, pred, overlap(gt, pred), 0.35).matches == []
+    assert match_lesions(gt, pred, overlap(gt, pred), 0.35) == []
     m = match_lesions(gt, pred, overlap(gt, pred), 0.30)
-    assert len(m.matches) == 1 and m.matches[0][2] == pytest.approx(1 / 3)
+    assert len(m) == 1 and m[0][2] == pytest.approx(1 / 3)
     _ok(8, "strict IoU > tau semantics")
 
 

@@ -609,3 +609,58 @@ def test_csv_reports_are_utf8_whatever_the_locale(tmp_path):
         csvs[name] = [(out / f).read_bytes() for f in ("stratified.csv", "lesions.csv")]
     assert csvs["c-locale"] == csvs["utf8-mode"]
     assert "modèle".encode("utf-8") in csvs["c-locale"][0]
+
+
+_EMIT_TWO_SAMPLES = """
+import sys
+import numpy as np
+from lesioneval.pipeline import RunConfig, evaluate_pair
+from lesioneval.report import emit_reports
+from lesioneval.volume import Volume
+
+v = Volume(np.ones((4, 4, 4), np.uint8), (1.0, 1.0, 1.0))
+s = [evaluate_pair(i, v, v, RunConfig()) for i in ("a", "s\\xe9")]
+try:
+    emit_reports(s, RunConfig(), sys.argv[1])
+except ValueError as e:
+    print(ascii(str(e)))
+"""
+
+
+def test_sample_id_the_file_system_cannot_encode_is_rejected(tmp_path):
+    # under the C locale without UTF-8 mode, file names are ASCII: an id "sé"
+    # used to evaluate, then raise UnicodeEncodeError in open() as a traceback
+    # after writing only samples/a.json
+    import subprocess
+    import sys
+
+    import lesioneval
+
+    src = os.path.dirname(os.path.dirname(lesioneval.__file__))
+    rng = np.random.default_rng(18)
+    rows = [",".join([sid, *_make_pair(tmp_path, f"case{i}", rng)])
+            for i, sid in enumerate(("a", "sé", "z"))]
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("sample_id,gt_path,pred_path\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    c_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+    def run(env, *argv):
+        return subprocess.run([sys.executable, *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src, **env})
+
+    evaluate = ("-m", "lesioneval.cli", "evaluate", "--manifest", str(manifest), "--out")
+    done = run(c_locale, *evaluate, str(tmp_path / "c-locale"))
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr and "not a file name in this locale" in done.stderr
+    assert not (tmp_path / "c-locale").exists()
+
+    # emit_reports checks every id before it makes the output directory
+    done = run(c_locale, "-c", _EMIT_TWO_SAMPLES, str(tmp_path / "emitted"))
+    assert done.returncode == 0 and "not a file name in this locale" in done.stdout, done.stderr
+    assert not (tmp_path / "emitted").exists()
+
+    done = run({"PYTHONUTF8": "1"}, *evaluate, str(tmp_path / "utf8-mode"))
+    assert done.returncode == 0, done.stderr
+    assert sorted(p.name for p in (tmp_path / "utf8-mode" / "samples").iterdir()) == [
+        "a.json", "sé.json", "z.json"
+    ]

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import lesion_boxes, lesion_voxel_sets, mask_from_voxels, random_blob_mask
+from conftest import (
+    fn_fp_ids,
+    lesion_boxes,
+    lesion_voxel_sets,
+    mask_from_voxels,
+    random_blob_mask,
+)
 from lesioneval.components import find_connected_components
 from lesioneval.matching import (
     generate_candidates,
@@ -147,26 +153,24 @@ def test_match_identity():
     v = random_blob_mask(np.random.default_rng(1), (16, 16, 16), 0.2)
     ls = find_connected_components(v)
     m = match_lesions(ls, ls, overlap(ls, ls), 0.35)
-    assert len(m.matches) == len(ls)
-    assert all(iou == 1.0 for _, _, iou in m.matches)
-    assert m.unmatched_gt == [] and m.unmatched_pred == []
+    assert sorted(m) == [(i, i, 1.0) for i in range(1, len(ls) + 1)]
+    assert fn_fp_ids(ls, ls, m) == ([], [])
 
 
 def test_match_empty_pred():
     gt = _extract(SQUARE + [(5, 5, 0)])
     pred = _extract([])
     m = match_lesions(gt, pred, overlap(gt, pred), 0.35)
-    assert m.matches == []
-    assert m.unmatched_gt == [1, 2]
-    assert m.unmatched_pred == []
+    assert m == []
+    assert fn_fp_ids(gt, pred, m) == ([1, 2], [])
 
 
 def test_match_empty_gt_all_fp():
     gt = _extract([])
     pred = _extract(SQUARE + [(5, 5, 0)])
     m = match_lesions(gt, pred, overlap(gt, pred), 0.35)
-    assert m.matches == [] and m.unmatched_gt == []
-    assert m.unmatched_pred == [1, 2]
+    assert m == []
+    assert fn_fp_ids(gt, pred, m) == ([], [1, 2])
 
 
 def test_conservation_and_one_to_one(rng):
@@ -174,19 +178,20 @@ def test_conservation_and_one_to_one(rng):
         gt = find_connected_components(random_blob_mask(rng, (16, 16, 16), 0.2))
         pred = find_connected_components(random_blob_mask(rng, (16, 16, 16), 0.2))
         m = match_lesions(gt, pred, overlap(gt, pred), 0.1)
-        gts = [g for g, _, _ in m.matches]
-        preds = [p for _, p, _ in m.matches]
+        gts = [g for g, _, _ in m]
+        preds = [p for _, p, _ in m]
         assert len(set(gts)) == len(gts)
         assert len(set(preds)) == len(preds)
-        assert len(m.matches) + len(m.unmatched_gt) == len(gt)
-        assert len(m.matches) + len(m.unmatched_pred) == len(pred)
+        fn, fp = fn_fp_ids(gt, pred, m)
+        assert sorted(gts + fn) == list(range(1, len(gt) + 1))
+        assert sorted(preds + fp) == list(range(1, len(pred) + 1))
 
 
 def test_threshold_monotonicity(rng):
     gt = find_connected_components(random_blob_mask(rng, (20, 20, 20), 0.25))
     pred = find_connected_components(random_blob_mask(rng, (20, 20, 20), 0.25))
     ov = overlap(gt, pred)
-    counts = [len(match_lesions(gt, pred, ov, t).matches) for t in (0.0, 0.2, 0.4, 0.6)]
+    counts = [len(match_lesions(gt, pred, ov, t)) for t in (0.0, 0.2, 0.4, 0.6)]
     assert counts == sorted(counts, reverse=True)
 
 
@@ -199,9 +204,8 @@ def test_oracle_equivalence(rng):
         for tau in (0.0, 0.1, 0.35, 0.6):
             m = match_lesions(gt, pred, overlap(gt, pred), tau)
             om, ofn, ofp = naive_match(gsets, psets, tau)
-            assert m.matches == om
-            assert m.unmatched_gt == ofn
-            assert m.unmatched_pred == ofp
+            assert m == om
+            assert fn_fp_ids(gt, pred, m) == (ofn, ofp)
 
 
 def test_greedy_dominance_replay(rng):

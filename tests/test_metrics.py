@@ -27,7 +27,6 @@ from lesioneval.metrics import (
     _p95,
     _padded_keys,
     compute_image_metrics,
-    compute_instance_metrics,
     compute_lesion_metrics,
     surface_distances,
 )
@@ -90,7 +89,7 @@ def test_dice_symmetry(rng):
         ab, ba = _image_metrics(a, b), _image_metrics(b, a)
         assert ab.voxel_dice == ba.voxel_dice
         la, lb = find_connected_components(a), find_connected_components(b)
-        for g, p, _ in match_lesions(la, lb, overlap(la, lb), 0.0).matches:
+        for g, p, _ in match_lesions(la, lb, overlap(la, lb), 0.0):
             ab = _pair_metrics(la, lb, g, p)
             ba = _pair_metrics(lb, la, p, g)
             assert (ab.dice, ab.iou, ab.hd95_mm) == (ba.dice, ba.iou, ba.hd95_mm)
@@ -211,14 +210,13 @@ def test_dice_iou_identity(rng):
     for _ in range(10):
         gt = find_connected_components(random_blob_mask(rng, (14, 14, 14), 0.25))
         pred = find_connected_components(random_blob_mask(rng, (14, 14, 14), 0.25))
-        mset = match_lesions(gt, pred, overlap(gt, pred), 0.1)
-        for g, p, _ in mset.matches:
+        for g, p, _ in match_lesions(gt, pred, overlap(gt, pred), 0.1):
             m = _pair_metrics(gt, pred, g, p)
             assert abs(m.dice - 2 * m.iou / (1 + m.iou)) < 1e-12
 
 
 def test_instance_metrics_arithmetic():
-    from lesioneval.metrics import detection_rates
+    from lesioneval.stratify import detection_rates
 
     assert detection_rates(3, 1, 2) == (0.75, 0.6, pytest.approx(2 / 3))
     assert detection_rates(0, 0, 0) == (None, None, None)
@@ -226,15 +224,14 @@ def test_instance_metrics_arithmetic():
     assert p == 0.0 and r is None and f1 is None
 
 
-def test_instance_metrics_from_matchset():
-    gt = find_connected_components(
-        mask_from_voxels(SQUARE | {(6, 6, 0)}, (8, 8, 2))
-    )
-    pred = find_connected_components(mask_from_voxels(SQUARE, (8, 8, 2)))
-    m = match_lesions(gt, pred, overlap(gt, pred), 0.35)
-    counts = compute_instance_metrics(m)
-    assert (counts.tp, counts.fp, counts.fn) == (1, 0, 1)
-    assert counts.precision == 1.0 and counts.recall == 0.5
+def test_detection_counts_from_the_lesion_table():
+    gt = mask_from_voxels(SQUARE | {(6, 6, 0)}, (8, 8, 2))
+    pred = mask_from_voxels(SQUARE | {(0, 6, 0)}, (8, 8, 2))
+    s = evaluate_pair("x", gt, pred, RunConfig(tau=0.35))
+    assert s.records.status.tolist() == ["TP", "FN", "FP"]
+    counts = s.detection
+    assert (counts.tp, counts.fp, counts.fn) == (1, 1, 1)
+    assert counts.precision == 0.5 and counts.recall == 0.5
 
 
 def test_image_metrics_identity():
@@ -258,11 +255,8 @@ def test_image_metrics_divergence_case():
 
     im = _image_metrics(gt, pred)
     assert im.voxel_dice == pytest.approx(2000 / 2050)
-    gt_ls = find_connected_components(gt)
-    pred_ls = find_connected_components(pred)
-    m = match_lesions(gt_ls, pred_ls, overlap(gt_ls, pred_ls), 0.35)
-    counts = compute_instance_metrics(m)
-    assert counts.recall == pytest.approx(1 / 6)
+    s = evaluate_pair("x", gt, pred, RunConfig(tau=0.35))
+    assert s.detection.recall == pytest.approx(1 / 6)
 
 
 def test_image_metrics_degenerate():
@@ -686,7 +680,7 @@ def test_lesion_metrics_memory_budget(variant):
     )
     n = int(gt.surface.sum() + pred.surface.sum())
     ov = overlap(gt, pred)
-    matches = match_lesions(gt, pred, ov, tau=0.0).matches
+    matches = match_lesions(gt, pred, ov, tau=0.0)
     kept = sum(
         int(ls.surface[np.isin(ls.label, [m[i] for m in matches])].sum())
         for i, ls in enumerate((gt, pred))
@@ -787,7 +781,7 @@ def test_lesion_metrics_independent_of_batch(rng):
         )
         dists = surface_distances(gt, pred, tuple(rng.uniform(0.4, 3.0, 3)))
         ov = overlap(gt, pred)
-        matches = match_lesions(gt, pred, ov, 0.0).matches
+        matches = match_lesions(gt, pred, ov, 0.0)
         for variant in ("pooled", "max-of-directed"):
             whole = compute_lesion_metrics(gt, pred, ov, matches, dists, variant)
             assert whole.gt_id.tolist() == sorted(g for g, _, _ in matches)

@@ -8,24 +8,27 @@ from hypothesis import strategies as st
 
 from lesioneval.matching import greedy_match
 from lesioneval.report import _dump_json
-from lesioneval.stratify import SIZE_BINS, bin_index, categorize
+from lesioneval.stratify import BIN_NAMES, bin_index
 from lesioneval.volume import Volume, binarize
+from oracles import SIZE_BIN_EDGES, categorize
 
 
 @given(st.integers(1, 10_000))
 def test_categorize_partitions(v):
-    b = categorize(v)
-    assert b.lower_vox <= v and (b.upper_vox is None or v < b.upper_vox)
+    # exactly one stated bin holds each count, and bin_index picks it
+    holds = [n for n, lo, hi in SIZE_BIN_EDGES if lo <= v and (hi is None or v < hi)]
+    assert holds == [categorize(v)] == [BIN_NAMES[bin_index(v)]]
 
 
 def test_bin_index_is_categorize_on_arrays():
-    # bin_index reads only the lower bounds: it agrees with the declared
-    # bounds because the bins tile [1, inf), each ending where the next begins
-    assert SIZE_BINS[0].lower_vox == 1
-    assert [b.upper_vox for b in SIZE_BINS] == [b.lower_vox for b in SIZE_BINS[1:]] + [None]
+    # bin_index reads only the lower bounds: it agrees with the stated edges
+    # because the bins tile [1, inf), each ending where the next begins
+    assert SIZE_BIN_EDGES[0][1] == 1
+    assert [e[2] for e in SIZE_BIN_EDGES] == [e[1] for e in SIZE_BIN_EDGES[1:]] + [None]
+    assert BIN_NAMES == tuple(e[0] for e in SIZE_BIN_EDGES)
     # the array rule behind stratify and inspect picks categorize's bin
     sizes = np.arange(1, 1001)
-    assert [SIZE_BINS[i] for i in bin_index(sizes).tolist()] == [
+    assert [BIN_NAMES[i] for i in bin_index(sizes).tolist()] == [
         categorize(v) for v in sizes.tolist()
     ]
     assert bin_index(np.array([], np.int64)).tolist() == []

@@ -8,18 +8,20 @@ import pytest
 from conftest import random_blob_mask, rows_of
 from lesioneval.components import find_connected_components
 from lesioneval.matching import match_lesions, overlap
-from lesioneval.metrics import compute_lesion_metrics, detection_rates, surface_distances
+from lesioneval.metrics import compute_lesion_metrics, surface_distances
 from lesioneval.pipeline import RunConfig, evaluate_pair
 from lesioneval.report import emit_reports
 from lesioneval.stratify import (
     BIN_NAMES,
     BinAggregate,
     aggregate_bins,
-    categorize,
+    bin_index,
+    detection_rates,
     rollup,
     stratify,
 )
 from lesioneval.volume import Volume
+from oracles import categorize
 
 
 @pytest.mark.parametrize(
@@ -36,10 +38,12 @@ from lesioneval.volume import Volume
     ],
 )
 def test_categorize_bin_edges(vox, name):
-    assert categorize(vox).name == name
+    assert BIN_NAMES[bin_index(vox)] == categorize(vox) == name
 
 
 def test_categorize_rejects_zero():
+    with pytest.raises(ValueError):
+        bin_index(0)
     with pytest.raises(ValueError):
         categorize(0)
 
@@ -287,22 +291,25 @@ def test_reports_agree_row_for_row(tmp_path):
     assert rows == [] and tps > 10
 
 
-def _loop_rows(gt, pred, match, pairs):
+def _loop_rows(gt, pred, matches, pairs):
     """The lesion rows, built one lesion at a time: the reference for ``stratify``."""
     by_gt = {p["gt_id"]: p for p in pairs.rows()}
+    matched_pred = {p for _, p, _ in matches}
     rows = []
     for g, n in enumerate(gt.sizes.tolist(), start=1):
         p = by_gt.get(g)
         rows.append({"lesion_id": g, "status": "FN", "gt_vox": n, "pred_vox": None,
-                     "size_bin": categorize(n).name, "dice": None, "hd95": None,
+                     "size_bin": categorize(n), "dice": None, "hd95": None,
                      "size_ratio": None})
         if p is not None:
             rows[-1].update(status="TP", pred_vox=p["pred_vox"], dice=p["dice"],
                             hd95=p["hd95_mm"], size_ratio=p["size_ratio"])
-    for q in match.unmatched_pred:
+    for q in range(1, len(pred) + 1):
+        if q in matched_pred:
+            continue
         n = int(pred.sizes[q - 1])
         rows.append({"lesion_id": q, "status": "FP", "gt_vox": None, "pred_vox": n,
-                     "size_bin": categorize(n).name, "dice": None, "hd95": None,
+                     "size_bin": categorize(n), "dice": None, "hd95": None,
                      "size_ratio": None})
     return rows
 
@@ -336,12 +343,12 @@ def test_lesion_table_and_bins_equal_a_loop_over_lesions():
             for _ in range(2)
         )
         ov = overlap(gt, pred)
-        match = match_lesions(gt, pred, ov, 0.0)
+        matches = match_lesions(gt, pred, ov, 0.0)
         pairs = compute_lesion_metrics(
-            gt, pred, ov, match.matches, surface_distances(gt, pred, (0.8, 1.0, 2.5))
+            gt, pred, ov, matches, surface_distances(gt, pred, (0.8, 1.0, 2.5))
         )
-        per_bin, table = stratify(gt, pred, match, pairs)
-        want = _loop_rows(gt, pred, match, pairs)
+        per_bin, table = stratify(gt, pred, pairs)
+        want = _loop_rows(gt, pred, matches, pairs)
         assert table.rows() == want and len(table) == len(want)
         assert per_bin == _loop_bins(want)
         tables.append(table)

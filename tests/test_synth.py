@@ -13,7 +13,7 @@ from lesioneval.synth import (
     _morph,
     generate_case,
 )
-from oracles import whole_grid_morph
+from oracles import categorize, whole_grid_morph
 
 ALL_BINS = {"VerySmall": 2, "Small": 3, "Medium": 2, "Large": 1}
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -53,9 +53,7 @@ def test_lesion_sizes_fall_in_requested_bins():
     params = SynthParams(dims=(120, 120, 1), counts=ALL_BINS, kinds=("none",))
     c = generate_case(params, 5)
     ls = find_connected_components(c.gt)
-    from lesioneval.stratify import categorize
-
-    got = sorted(categorize(n).name for n in ls.sizes.tolist())
+    got = sorted(categorize(n) for n in ls.sizes.tolist())
     want = sorted(name for name, n in ALL_BINS.items() for _ in range(n))
     assert got == want
 
@@ -109,12 +107,10 @@ def test_benchmark_masks_are_pinned(monkeypatch, case_seed):
 
 
 def test_bin_size_ranges_align_with_bins():
-    from lesioneval.stratify import categorize
-
     for name, (lo, hi) in BIN_SIZE_RANGES.items():
-        assert categorize(lo).name == name
+        assert categorize(lo) == name
         if name != "Large":
-            assert categorize(hi).name == name
+            assert categorize(hi) == name
 
 
 @pytest.mark.parametrize("dims", [(96, 96, 1), (40, 40, 30), (20, 20, 20)])
