@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -26,6 +27,17 @@ class RunConfig:
     binarize_threshold: float = 0.5
 
     def __post_init__(self) -> None:
+        # reports record every setting as JSON: keep each a plain float, int or str
+        for name, kind in (("tau", float), ("connectivity", int), ("distance_units", str),
+                           ("hd95_variant", str), ("binarize_threshold", float)):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, (bool, bytes)) or isinstance(value, str) != (kind is str):
+                    raise TypeError
+                plain = int(operator.index(value)) if kind is int else kind(value)
+            except (TypeError, OverflowError):
+                raise ValueError(f"{name} must be {kind.__name__}, got {value!r}") from None
+            object.__setattr__(self, name, plain)
         if not 0.0 <= self.tau < 1.0:
             raise ValueError(f"tau must be in [0, 1), got {self.tau}")
         if self.connectivity not in (6, 18, 26):

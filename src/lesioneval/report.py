@@ -52,6 +52,15 @@ def _write_text(path: str, text: str) -> None:
         raise IoFailure(f"cannot write {path}: {e}") from e
 
 
+def _csv(header: list[str], rows) -> str:
+    """CSV text, one ``\\n``-terminated line per row; None is an empty cell."""
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
 @functools.cache
 def _flat_encoder(pad: str) -> json.JSONEncoder:
     # with no indent, json uses its C encoder; the separator supplies the indent
@@ -99,18 +108,16 @@ def emit_reports(
 ) -> dict[str, str]:
     """Write per-sample JSON, the dataset summary, and the two CSVs.
 
-    Output is deterministic: samples ordered by sample_id, JSON keys sorted,
-    undefined metrics serialized as null (JSON) / empty cell (CSV).
-    ``formats`` restricts emission to "json", "csv" or "both".
-    Returns the paths written, keyed by artifact name. Raises ValueError,
-    before writing anything, if a sample_id is not a plain file name or
-    names two samples.
+    Output is deterministic: samples and failures ordered by sample_id, JSON
+    keys sorted, undefined metrics serialized as null (JSON) / empty cell
+    (CSV). ``formats`` restricts emission to "json", "csv" or "both". Every
+    file is rendered before ``out_dir`` is made, so nothing is written if a
+    value cannot be encoded, a sample_id is not a plain file name, or two
+    samples share one. Returns the summary/stratified/lesions paths written.
     """
-    if formats not in ("json", "csv", "both"):
+    suffixes = {"json": (".json",), "csv": (".csv",), "both": (".json", ".csv")}.get(formats)
+    if suffixes is None:
         raise ValueError(f"formats must be json/csv/both, got {formats!r}")
-    want_json = formats in ("json", "both")
-    want_csv = formats in ("csv", "both")
-    failures = failures or []
     samples = sorted(samples, key=lambda s: s.sample_id)
     seen: set[str] = set()
     for s in samples:
@@ -118,74 +125,51 @@ def emit_reports(
         if s.sample_id in seen:
             raise ValueError(f"duplicate sample_id {s.sample_id!r}")
         seen.add(s.sample_id)
+    failures = sorted(failures or [], key=lambda f: (f.sample_id, f.reason))
+    # lesion_records and lesions.csv are rendered from the same row lists
+    payloads = {s.sample_id: _sample_payload(s, config) for s in samples}
+    rolled = rollup(samples)
+    # relative file name -> its renderer; only names with a kept suffix are rendered
+    renders = {
+        **{f"samples/{sid}.json": functools.partial(_dump_json, p) for sid, p in payloads.items()},
+        "summary.json": lambda: _dump_json({
+            "schema_version": SCHEMA_VERSION,
+            "tool_version": __version__,
+            "config": _row(config),
+            "n_samples": len(samples),
+            "samples": list(payloads),
+            "failures": [{"sample_id": f.sample_id, "reason": f.reason} for f in failures],
+            "per_model": {
+                tag: {name: _row(bins[name]) for name in BIN_NAMES}
+                for tag, bins in rolled.items()
+            },
+            "per_sample": {
+                sid: {key: p[key] for key in ("detection", "image_metrics")}
+                for sid, p in payloads.items()
+            },
+        }),
+        # dataset CSV: one row per (model tag, size bin)
+        "stratified.csv": lambda: _csv(
+            ["model_tag", "size_bin", "n_gt", "tp", "fp", "fn",
+             "dice", "hd95", "precision", "recall", "f1"],
+            ([tag, name, b.n_gt, b.tp, b.fp, b.fn,
+              _fmt2(b.dice_mean), _fmt2(b.hd95_mean),
+              _fmt2(b.precision), _fmt2(b.recall), _fmt2(b.f1)]
+             for tag in sorted(rolled) for name in BIN_NAMES for b in [rolled[tag][name]]),
+        ),
+        # long-format lesion-level CSV (plot-ready): a float cell is its repr
+        "lesions.csv": lambda: _csv(
+            ["sample_id", "lesion_id", "status", "gt_vox", "pred_vox",
+             "size_bin", "dice", "hd95", "size_ratio"],
+            ((sid, *r.values()) for sid, p in payloads.items() for r in p["lesion_records"]),
+        ),
+    }
+    files = {name: render() for name, render in renders.items() if name.endswith(suffixes)}
+
     try:
-        os.makedirs(out_dir, exist_ok=True)
-        if want_json:
-            os.makedirs(os.path.join(out_dir, "samples"), exist_ok=True)
+        os.makedirs(os.path.join(out_dir, "samples" if ".json" in suffixes else ""), exist_ok=True)
     except OSError as e:
         raise IoFailure(f"cannot create {out_dir}: {e}") from e
-
-    paths: dict[str, str] = {}
-    # lesion_records and lesions.csv are written from the same row lists
-    payloads = [_sample_payload(s, config) for s in samples]
-    if want_json:
-        for s, payload in zip(samples, payloads):
-            p = os.path.join(out_dir, "samples", f"{s.sample_id}.json")
-            _write_text(p, _dump_json(payload))
-
-    rolled = rollup(samples)
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "tool_version": __version__,
-        "config": _row(config),
-        "n_samples": len(samples),
-        "samples": [s.sample_id for s in samples],
-        "failures": [{"sample_id": f.sample_id, "reason": f.reason} for f in failures],
-        "per_model": {
-            tag: {name: _row(bins[name]) for name in BIN_NAMES}
-            for tag, bins in rolled.items()
-        },
-        "per_sample": {
-            s.sample_id: {
-                "detection": _row(s.detection),
-                "image_metrics": _row(s.image),
-            }
-            for s in samples
-        },
-    }
-    if want_json:
-        paths["summary"] = os.path.join(out_dir, "summary.json")
-        _write_text(paths["summary"], _dump_json(summary))
-    if not want_csv:
-        return paths
-
-    # Dataset CSV: one row per (model tag, size bin), Dice/HD95/Prec/Recall/F1
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        ["model_tag", "size_bin", "n_gt", "tp", "fp", "fn",
-         "dice", "hd95", "precision", "recall", "f1"]
-    )
-    for tag in sorted(rolled):
-        for name in BIN_NAMES:
-            b = rolled[tag][name]
-            w.writerow(
-                [tag, name, b.n_gt, b.tp, b.fp, b.fn,
-                 _fmt2(b.dice_mean), _fmt2(b.hd95_mean),
-                 _fmt2(b.precision), _fmt2(b.recall), _fmt2(b.f1)]
-            )
-    paths["stratified"] = os.path.join(out_dir, "stratified.csv")
-    _write_text(paths["stratified"], buf.getvalue())
-
-    # Long-format lesion-level CSV (plot-ready)
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        ["sample_id", "lesion_id", "status", "gt_vox", "pred_vox",
-         "size_bin", "dice", "hd95", "size_ratio"]
-    )
-    for s, payload in zip(samples, payloads):  # None is an empty cell, a float its repr
-        w.writerows((s.sample_id, *r.values()) for r in payload["lesion_records"])
-    paths["lesions"] = os.path.join(out_dir, "lesions.csv")
-    _write_text(paths["lesions"], buf.getvalue())
-    return paths
+    for name, text in files.items():
+        _write_text(os.path.join(out_dir, name), text)
+    return {name.split(".")[0]: os.path.join(out_dir, name) for name in files if "/" not in name}

@@ -10,7 +10,8 @@ from conftest import random_blob_mask
 from lesioneval.cli import main
 from lesioneval.errors import BadMagic, ManifestParseError
 from lesioneval.nifti import read_foreground, read_volume, write_volume
-from lesioneval.pipeline import RunConfig, read_manifest
+from lesioneval.pipeline import RunConfig, evaluate_pair, read_manifest
+from lesioneval.report import emit_reports
 from lesioneval.synth import SynthParams, generate_case
 
 
@@ -44,6 +45,36 @@ def test_evaluate_perfect_sample(tmp_path, capsys):
     sample = json.loads((out / "samples" / "a.json").read_text())
     assert sample["detection"]["fp"] == 0 and sample["detection"]["fn"] == 0
     assert sample["detection"]["tp"] == sample["gt_lesions"]
+
+
+def _tree(root) -> dict:
+    """Every file under ``root``, by its relative path, as bytes."""
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in root.rglob("*") if p.is_file()}
+
+
+def test_format_json_and_csv_write_their_part_of_the_both_tree(tmp_path):
+    rng = np.random.default_rng(19)
+    rows = [["a", *_make_pair(tmp_path, "a", rng, identical=False)],
+            ["b", *_make_pair(tmp_path, "b", rng)],
+            ["gone", "gone_gt.nii.gz", "gone_pred.nii.gz"]]
+    manifest = _write_manifest(tmp_path, rows)
+    trees = {}
+    for fmt in ("both", "json", "csv"):
+        out = tmp_path / fmt
+        argv = ["evaluate", "--manifest", str(manifest), "--out", str(out), "--format", fmt]
+        assert main(argv) == 2
+        trees[fmt] = _tree(out)
+    assert sorted(trees["both"]) == [
+        "lesions.csv", "samples/a.json", "samples/b.json", "stratified.csv", "summary.json"
+    ]
+    for fmt in ("json", "csv"):
+        assert trees[fmt] == {
+            name: text for name, text in trees["both"].items() if name.endswith("." + fmt)
+        }
+    with pytest.raises(ValueError, match="'xml'"):
+        emit_reports([], RunConfig(), str(tmp_path / "xml"), formats="xml")
+    assert not (tmp_path / "xml").exists()
 
 
 def test_evaluate_defaults_are_run_config_defaults(tmp_path):
@@ -501,13 +532,29 @@ def test_non_finite_threshold_rejected(tmp_path, capsys, threshold):
 @pytest.mark.parametrize(
     "field, value",
     [("tau", 1.5), ("connectivity", 4), ("distance_units", "cm"),
-     ("hd95_variant", "mean"), ("binarize_threshold", float("nan"))],
+     ("hd95_variant", "mean"), ("binarize_threshold", float("nan")),
+     ("tau", False), ("binarize_threshold", True), ("connectivity", 6.0)],
 )
 def test_run_config_errors_name_the_bad_value(field, value):
-    # the message is all `bad config` prints, so it must show what was wrong
+    # the message is all `bad config` prints, so it must show what was wrong;
+    # a bool or a float connectivity used to pass and be reported as
+    # false, true or 6.0
     with pytest.raises(ValueError) as e:
         RunConfig(**{field: value})
     assert repr(value) in str(e.value)
+
+
+def test_run_config_stores_plain_python_values(tmp_path):
+    # numpy settings used to be stored as given: emit_reports then raised
+    # TypeError, not JSON serializable, after it had made samples/
+    config = RunConfig(connectivity=np.int64(6), tau=np.float32(0.25))
+    assert {type(v) for v in dataclasses.asdict(config).values()} <= {int, float, str}
+    assert (config.connectivity, config.tau) == (6, 0.25)
+    v = random_blob_mask(np.random.default_rng(20), (10, 10, 10), 0.2)
+    s = evaluate_pair("a", v, v, config)
+    paths = emit_reports([s], config, str(tmp_path / "out"))
+    with open(paths["summary"]) as f:
+        assert json.load(f)["config"] == dataclasses.asdict(RunConfig(tau=0.25))
 
 
 @pytest.mark.parametrize(

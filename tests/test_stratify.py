@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,7 +10,7 @@ from conftest import random_blob_mask, rows_of
 from lesioneval.components import find_connected_components
 from lesioneval.matching import match_lesions, overlap
 from lesioneval.metrics import compute_lesion_metrics, surface_distances
-from lesioneval.pipeline import RunConfig, evaluate_pair
+from lesioneval.pipeline import RunConfig, SampleFailure, evaluate_pair
 from lesioneval.report import emit_reports
 from lesioneval.stratify import (
     BIN_NAMES,
@@ -212,6 +213,30 @@ def test_emit_reports_rejects_duplicate_sample_id(tmp_path, rng):
     s = evaluate_pair("x", v, v, RunConfig())
     with pytest.raises(ValueError, match="duplicate sample_id 'x'"):
         emit_reports([s, s], RunConfig(), str(tmp_path / "out"))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_emit_reports_orders_failures_itself(tmp_path, rng):
+    # failures used to be listed in the caller's order, which only the CLI sorted
+    v = random_blob_mask(rng, (10, 10, 10), 0.2)
+    s = evaluate_pair("a", v, v, RunConfig())
+    failures = [SampleFailure("c", "OSError: gone"), SampleFailure("b", "BadMagic: no")]
+    texts = []
+    for name, order in (("o1", failures), ("o2", failures[::-1])):
+        paths = emit_reports([s], RunConfig(), str(tmp_path / name), order)
+        texts.append(Path(paths["summary"]).read_bytes())
+    assert texts[0] == texts[1]
+    assert [f["sample_id"] for f in json.loads(texts[0])["failures"]] == ["b", "c"]
+
+
+def test_emit_reports_writes_nothing_when_a_value_cannot_be_encoded(tmp_path, rng):
+    # emit_reports used to make samples/ and then raise TypeError in the
+    # encoder, leaving a tree with no summary.json
+    v = random_blob_mask(rng, (10, 10, 10), 0.2)
+    s = evaluate_pair("a", v, v, RunConfig())
+    bad = dataclasses.replace(s, image=dataclasses.replace(s.image, voxel_dice=np.float32(1)))
+    with pytest.raises(TypeError, match="float32"):
+        emit_reports([bad], RunConfig(), str(tmp_path / "out"))
     assert list(tmp_path.iterdir()) == []
 
 
