@@ -27,12 +27,14 @@ class RunConfig:
     binarize_threshold: float = 0.5
 
     def __post_init__(self) -> None:
-        # reports record every setting as JSON: keep each a plain float, int or str
+        # reports record every setting as JSON: keep each a plain float, int or str;
+        # a bool is none of them, numpy's included (told by its dtype kind)
         for name, kind in (("tau", float), ("connectivity", int), ("distance_units", str),
                            ("hd95_variant", str), ("binarize_threshold", float)):
             value = getattr(self, name)
             try:
-                if isinstance(value, (bool, bytes)) or isinstance(value, str) != (kind is str):
+                if (isinstance(value, (bool, bytes)) or isinstance(value, str) != (kind is str)
+                        or getattr(getattr(value, "dtype", None), "kind", None) == "b"):
                     raise TypeError
                 plain = int(operator.index(value)) if kind is int else kind(value)
             except (TypeError, OverflowError):

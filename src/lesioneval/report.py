@@ -6,18 +6,15 @@ import functools
 import io
 import json
 import os
+from itertools import repeat
 
 from . import __version__
 from .errors import IoFailure
+from .metrics import Columns
 from .pipeline import RunConfig, SampleFailure, check_sample_id
 from .stratify import BIN_NAMES, SampleResult, rollup
 
 SCHEMA_VERSION = 1
-
-
-def _row(x) -> dict:
-    """A report dataclass as a dict: its fields are flat, so no deep copy."""
-    return dict(vars(x))
 
 
 def _fmt2(x: float | None) -> str:
@@ -31,16 +28,16 @@ def _sample_payload(s: SampleResult, config: RunConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "config": _row(config),
+        "config": vars(config),
         "sample_id": s.sample_id,
         "model_tag": s.model_tag,
         "gt_lesions": s.gt_lesions,
         "pred_lesions": s.pred_lesions,
-        "detection": _row(s.detection),
-        "image_metrics": _row(s.image),
-        "matched_pairs": s.pairs.rows(),
-        "per_bin": {name: _row(s.per_bin[name]) for name in BIN_NAMES},
-        "lesion_records": s.records.rows(),
+        "detection": vars(s.detection),
+        "image_metrics": vars(s.image),
+        "matched_pairs": s.pairs,
+        "per_bin": {name: vars(s.per_bin[name]) for name in BIN_NAMES},
+        "lesion_records": s.records,
     }
 
 
@@ -61,42 +58,28 @@ def _csv(header: list[str], rows) -> str:
     return buf.getvalue()
 
 
-@functools.cache
-def _flat_encoder(pad: str) -> json.JSONEncoder:
-    # with no indent, json uses its C encoder; the separator supplies the indent
-    return json.JSONEncoder(sort_keys=True, separators=(",\n" + pad, ": "))
-
-
-def _encode(obj, pad: str) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` for a value indented by ``pad``.
-
-    A dict or list that holds no container is encoded in one C-encoder call;
-    only the containers around those are joined here. Dict keys must be str.
-    """
-    is_dict = isinstance(obj, dict)
-    if not (is_dict or isinstance(obj, (list, tuple))) or not obj:
-        return _flat_encoder(pad).encode(obj)
-    inner = pad + "  "
-    if any(isinstance(v, (dict, list, tuple)) for v in (obj.values() if is_dict else obj)):
-        items = (
-            (f"{json.encoder.encode_basestring_ascii(k)}: {_encode(v, inner)}"
-             for k, v in sorted(obj.items()))
-            if is_dict else (_encode(v, inner) for v in obj)
-        )
-        body = (",\n" + inner).join(items)
-    else:
-        body = _flat_encoder(inner).encode(obj)[1:-1]
-    bracket = "{}" if is_dict else "[]"
-    return f"{bracket[0]}\n{inner}{body}\n{pad}{bracket[1]}"
+def _table_json(t: Columns) -> str:
+    """``t.rows()`` as ``json.dumps(indent=2, sort_keys=True)`` writes it one level deep."""
+    if not len(t):
+        return "[]"
+    names = sorted(vars(t))
+    # splitting on ", " needs no cell to encode to text holding it: the cells
+    # are numbers, null and the fixed status and bin names
+    cols = [json.dumps(getattr(t, n).tolist())[1:-1].split(", ") for n in names]
+    row = "    {{\n" + ",\n".join(f"      {json.dumps(n)}: {{}}" for n in names) + "\n    }}"
+    return "[\n" + ",\n".join(row.format(*cells) for cells in zip(*cols)) + "\n  ]"
 
 
 def _dump_json(obj: dict) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
-
-    With an indent, json falls back to its pure-Python encoder; ``_encode``
-    keeps the C encoder for every flat dict and list.
-    """
-    return _encode(obj, "") + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte;
+    a value may also be a lesion table, written as its ``rows()`` would be."""
+    if not obj:
+        return "{}\n"
+    # JSON escapes every newline in a string, so this re-indents layout only
+    items = ((k, _table_json(v) if isinstance(v, Columns)
+              else json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n  "))
+             for k, v in sorted(obj.items()))
+    return "{\n" + ",\n".join(f"  {json.dumps(k)}: {v}" for k, v in items) + "\n}\n"
 
 
 def emit_reports(
@@ -113,7 +96,9 @@ def emit_reports(
     (CSV). ``formats`` restricts emission to "json", "csv" or "both". Every
     file is rendered before ``out_dir`` is made, so nothing is written if a
     value cannot be encoded, a sample_id is not a plain file name, or two
-    samples share one. Returns the summary/stratified/lesions paths written.
+    samples share one. A report file that an earlier run left in ``out_dir``
+    and this run does not write is removed; no other file is touched.
+    Returns the summary/stratified/lesions paths written.
     """
     suffixes = {"json": (".json",), "csv": (".csv",), "both": (".json", ".csv")}.get(formats)
     if suffixes is None:
@@ -126,7 +111,6 @@ def emit_reports(
             raise ValueError(f"duplicate sample_id {s.sample_id!r}")
         seen.add(s.sample_id)
     failures = sorted(failures or [], key=lambda f: (f.sample_id, f.reason))
-    # lesion_records and lesions.csv are rendered from the same row lists
     payloads = {s.sample_id: _sample_payload(s, config) for s in samples}
     rolled = rollup(samples)
     # relative file name -> its renderer; only names with a kept suffix are rendered
@@ -135,12 +119,12 @@ def emit_reports(
         "summary.json": lambda: _dump_json({
             "schema_version": SCHEMA_VERSION,
             "tool_version": __version__,
-            "config": _row(config),
+            "config": vars(config),
             "n_samples": len(samples),
             "samples": list(payloads),
             "failures": [{"sample_id": f.sample_id, "reason": f.reason} for f in failures],
             "per_model": {
-                tag: {name: _row(bins[name]) for name in BIN_NAMES}
+                tag: {name: vars(bins[name]) for name in BIN_NAMES}
                 for tag, bins in rolled.items()
             },
             "per_sample": {
@@ -161,15 +145,25 @@ def emit_reports(
         "lesions.csv": lambda: _csv(
             ["sample_id", "lesion_id", "status", "gt_vox", "pred_vox",
              "size_bin", "dice", "hd95", "size_ratio"],
-            ((sid, *r.values()) for sid, p in payloads.items() for r in p["lesion_records"]),
+            (row for s in samples
+             for row in zip(repeat(s.sample_id), *(c.tolist() for c in vars(s.records).values()))),
         ),
     }
     files = {name: render() for name, render in renders.items() if name.endswith(suffixes)}
 
     try:
         os.makedirs(os.path.join(out_dir, "samples" if ".json" in suffixes else ""), exist_ok=True)
+        # remove the reports an earlier run left here that this run does not write
+        sample_dir = os.path.join(out_dir, "samples")
+        ours = [name for name in renders if "/" not in name]
+        if os.path.isdir(sample_dir):
+            ours += [f"samples/{n}" for n in os.listdir(sample_dir) if n.endswith(".json")]
+        for name in ours:
+            path = os.path.join(out_dir, name)
+            if name not in files and os.path.isfile(path):
+                os.remove(path)
     except OSError as e:
-        raise IoFailure(f"cannot create {out_dir}: {e}") from e
+        raise IoFailure(f"cannot prepare {out_dir}: {e}") from e
     for name, text in files.items():
         _write_text(os.path.join(out_dir, name), text)
     return {name.split(".")[0]: os.path.join(out_dir, name) for name in files if "/" not in name}

@@ -77,6 +77,35 @@ def test_format_json_and_csv_write_their_part_of_the_both_tree(tmp_path):
     assert not (tmp_path / "xml").exists()
 
 
+def test_a_reused_out_holds_only_this_runs_reports(tmp_path):
+    # a second run into the same --out used to leave samples/b.json beside a
+    # summary.json that lists only a, and a csv run kept the old JSON
+    rng = np.random.default_rng(23)
+    both = [[sid, *_make_pair(tmp_path, sid, rng, identical=False)] for sid in ("a", "b")]
+    runs = [(both, "both"), (both[:1], "both"), (both, "both"), (both, "csv"), (both, "json")]
+    for i, (rows, fmt) in enumerate(runs):
+        manifest = _write_manifest(tmp_path, rows)
+        argv = ["evaluate", "--manifest", str(manifest), "--format", fmt, "--out"]
+        assert main([*argv, str(tmp_path / "reused")]) == 0
+        assert main([*argv, str(tmp_path / f"fresh{i}")]) == 0
+        assert _tree(tmp_path / "reused") == _tree(tmp_path / f"fresh{i}"), (rows, fmt)
+
+
+def test_a_reused_out_keeps_files_the_tool_never_writes(tmp_path):
+    v = random_blob_mask(np.random.default_rng(24), (10, 10, 10), 0.2)
+    results = [evaluate_pair(sid, v, v, RunConfig()) for sid in ("a", "b")]
+    out = tmp_path / "out"
+    emit_reports(results, RunConfig(), str(out))
+    own = {"notes.txt": b"mine", "old.json": b"{}", "samples/b.csv": b"x",
+           "samples/b.json.bak": b"y", "samples/sub/c.json": b"{}"}
+    for name, data in own.items():
+        (out / name).parent.mkdir(exist_ok=True)
+        (out / name).write_bytes(data)
+    emit_reports(results[:1], RunConfig(), str(out), formats="csv")
+    tree = _tree(out)
+    assert tree == {**own, **{n: tree[n] for n in ("lesions.csv", "stratified.csv")}}
+
+
 def test_evaluate_defaults_are_run_config_defaults(tmp_path):
     g, p = _make_pair(tmp_path, "a", np.random.default_rng(0))
     out = tmp_path / "out"
@@ -533,12 +562,14 @@ def test_non_finite_threshold_rejected(tmp_path, capsys, threshold):
     "field, value",
     [("tau", 1.5), ("connectivity", 4), ("distance_units", "cm"),
      ("hd95_variant", "mean"), ("binarize_threshold", float("nan")),
-     ("tau", False), ("binarize_threshold", True), ("connectivity", 6.0)],
+     ("tau", False), ("binarize_threshold", True), ("connectivity", 6.0),
+     ("tau", np.False_), ("binarize_threshold", np.True_), ("connectivity", np.True_),
+     ("tau", np.array(False))],
 )
 def test_run_config_errors_name_the_bad_value(field, value):
     # the message is all `bad config` prints, so it must show what was wrong;
     # a bool or a float connectivity used to pass and be reported as
-    # false, true or 6.0
+    # false, true or 6.0, and a numpy bool was stored as 0.0 or 1.0
     with pytest.raises(ValueError) as e:
         RunConfig(**{field: value})
     assert repr(value) in str(e.value)

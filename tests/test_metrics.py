@@ -31,7 +31,7 @@ from lesioneval.metrics import (
     surface_distances,
 )
 from lesioneval.pipeline import RunConfig, evaluate_pair
-from lesioneval.report import _sample_payload
+from lesioneval.report import _dump_json, _sample_payload
 from lesioneval.volume import Foreground, Volume
 from oracles import brute_surface, brute_surface_distances, whole_grid_image_metrics
 
@@ -299,6 +299,11 @@ def test_image_metrics_match_whole_grid(rng, connectivity, dims):
             assert astuple(got) == want
 
 
+def _report(s, config) -> str:
+    """The sample JSON text: the payload's tables compare by identity, their text by value."""
+    return _dump_json(_sample_payload(s, config))
+
+
 def test_evaluate_pair_builds_no_label_map(rng, monkeypatch):
     # the evaluate path works from the foreground voxels; the dense label
     # map is only for callers that ask for it
@@ -315,7 +320,7 @@ def test_evaluate_pair_builds_no_label_map(rng, monkeypatch):
 
     monkeypatch.setattr(LesionSet, "label_map", property(refuse))
     got = evaluate_pair("s", gt, pred, config)
-    assert _sample_payload(got, config) == _sample_payload(expected, config)
+    assert _report(got, config) == _report(expected, config)
     assert got.pairs
 
 
@@ -341,7 +346,7 @@ def test_evaluate_pair_intersects_the_foregrounds_once(rng, monkeypatch):
     for module in (lesioneval.matching, lesioneval.metrics):
         monkeypatch.setattr(module, "intersect_sorted", recorded)
     got = evaluate_pair("s", gt, pred, config)
-    assert _sample_payload(got, config) == _sample_payload(expected, config)
+    assert _report(got, config) == _report(expected, config)
     assert got.pairs
     g, p = labelled
     assert calls.count({id(g.index), id(p.index)}) == 1
@@ -494,7 +499,7 @@ def test_evaluate_pair_builds_no_tree_per_pair(kd_trees, monkeypatch, per_axis):
     # without it, one tree per direction and still none per pair
     monkeypatch.setattr(lesioneval.metrics, "_shells", lambda sp: [])
     kd = evaluate_pair("s", gt, pred, config)
-    assert _sample_payload(kd, config) == _sample_payload(got, config)
+    assert _report(kd, config) == _report(got, config)
     assert kd_trees == ["_nearest_surface"] * 2
 
 

@@ -1,4 +1,5 @@
 """Property-based checks of the module invariants."""
+import dataclasses
 import json
 
 import numpy as np
@@ -7,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lesioneval.matching import greedy_match
+from lesioneval.metrics import Columns, LesionPairMetrics
 from lesioneval.report import _dump_json
-from lesioneval.stratify import BIN_NAMES, bin_index
+from lesioneval.stratify import BIN_NAMES, LesionTable, bin_index
 from lesioneval.volume import Volume, binarize
 from oracles import SIZE_BIN_EDGES, categorize
 
@@ -78,9 +80,33 @@ _JSON_VALUES = st.recursive(
 )
 
 
+_NAMES = st.sampled_from(("TP", "FP", "FN", *BIN_NAMES))
+# a lesion-table cell: a number, None, NaN, an infinity or a status or bin name
+_CELLS = st.none() | st.integers() | st.floats() | _NAMES
+_TYPED = {np.int64: st.integers(-(2**63), 2**63 - 1), np.float64: st.floats(), np.str_: _NAMES}
+
+
+@st.composite
+def _tables(draw):
+    cls = draw(st.sampled_from((LesionTable, LesionPairMetrics)))
+    n = draw(st.integers(0, 4))  # empty tables included
+
+    def column():
+        kind = draw(st.sampled_from((object, *_TYPED)))
+        if kind is object:  # Python scalars, as stratify stores the optional cells
+            c = np.empty(n, object)
+            c[:] = draw(st.lists(_CELLS, min_size=n, max_size=n))
+            return c
+        return np.array(draw(st.lists(_TYPED[kind], min_size=n, max_size=n)), kind)
+
+    return cls(**{f.name: column() for f in dataclasses.fields(cls)})
+
+
 @settings(max_examples=300)
-@given(st.dictionaries(st.text(max_size=5), _JSON_VALUES, max_size=5))
+@given(st.dictionaries(st.text(max_size=5), _JSON_VALUES | _tables(), max_size=5))
 def test_dump_json_is_json_dumps_byte_for_byte(obj):
     # empty containers, None, NaN and infinities, floats, bools and str keys,
-    # nested in dicts, lists and tuples at any depth
-    assert _dump_json(obj) == json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # nested in dicts, lists and tuples at any depth; a top-level value may
+    # also be a lesion table, which must read as its rows() would
+    rows = {k: v.rows() if isinstance(v, Columns) else v for k, v in obj.items()}
+    assert _dump_json(obj) == json.dumps(rows, indent=2, sort_keys=True) + "\n"
