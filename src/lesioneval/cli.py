@@ -98,8 +98,11 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         except (LesionEvalError, OSError, ValueError) as e:
             return None, SampleFailure(row.sample_id, f"{type(e).__name__}: {e}")
 
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        outcomes = list(pool.map(run_one, rows))
+    if args.jobs == 1:  # on the calling thread: a pool of one only adds a thread
+        outcomes = list(map(run_one, rows))
+    else:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+            outcomes = list(pool.map(run_one, rows))
 
     samples = [s for s, _ in outcomes if s is not None]
     failures = [f for _, f in outcomes if f is not None]

@@ -131,6 +131,7 @@ class SurfaceDistances:
 
 _BOX = GRID_PAD  # the ring search probes offsets of up to this many voxels per axis
 _BLOCK = 4096  # open voxels probed together: bounds each shell's matrix of probes
+_BITSET_RATIO = 4  # a mask's bitset is built only up to this many times its keys' bytes
 
 
 @functools.lru_cache(maxsize=16)
@@ -150,6 +151,17 @@ def _steps(shape: tuple[int, int, int]) -> np.ndarray:
     return np.cumprod([1, shape[0] + 2 * _BOX, shape[1] + 2 * _BOX])
 
 
+def _bitset(key: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray | None:
+    """The padded grid's bits, set at each ``key``; None when they would take
+    over ``_BITSET_RATIO`` times the keys' bytes, so memory follows the surface."""
+    nbytes = (int(np.prod(np.add(shape, 2 * _BOX))) + 7) // 8
+    if nbytes > _BITSET_RATIO * key.nbytes:
+        return None
+    bits = np.zeros(nbytes, np.uint8)
+    np.bitwise_or.at(bits, key >> 3, (1 << (key & 7)).astype(np.uint8))
+    return bits
+
+
 def _padded_keys(ls: LesionSet, pos: np.ndarray) -> np.ndarray:
     """Keys ``(coords + _BOX) @ _steps`` of the voxels at ``pos``, ascending with them.
 
@@ -157,7 +169,8 @@ def _padded_keys(ls: LesionSet, pos: np.ndarray) -> np.ndarray:
     plus an offset's key is the key of the voxel at that offset. Taken from
     the linear index: ``i // nx`` counts the rows before the voxel and
     ``i // (nx * ny)`` the slices, and each adds its padding. The keys are
-    in ``index_dtype``, which that padded grid sets.
+    in ``index_dtype``, which that padded grid sets. ``pos`` may be a bool
+    mask, which gathers with no intp copy of an int32 index.
     """
     nx, ny, _ = ls.shape
     i = ls.index[pos].astype(index_dtype(ls.shape), copy=False)
@@ -184,10 +197,12 @@ def _nearest_surface(
     ``d_shared[i]`` of ``d_pos``: it is at distance 0. The others probe
     ``dst`` shell by shell, ``_BLOCK`` voxels at a time, each distance
     computed as the kd-tree does, until a shell settles fewer than half of
-    those still open; the kd-tree takes the rest. Grid coordinates are
-    unravelled only for the probes that hit and for the kd-tree. Each
-    shift takes the keys' dtype: a wider one would make every search cast
-    all of ``d_key``.
+    those still open; the kd-tree takes the rest. A probe is one bit test
+    of ``_bitset(d_key)``, or a binary search in ``d_key`` where that is
+    None; one search after the last shell finds the rows of the settled
+    voxels' best hits. Grid coordinates are unravelled only for the probes
+    that hit and for the kd-tree. Each shift takes the keys' dtype: a wider
+    one would make every search cast all of ``d_key``.
     """
     dist, near = np.zeros(s_pos.size), np.zeros(s_pos.size, np.int32)
     near[s_shared] = dst.label[d_pos[d_shared]]
@@ -196,7 +211,8 @@ def _nearest_surface(
         dist[:] = np.inf
     elif q.size:
         dist[q] = np.inf
-        row, step, todo = np.zeros(s_pos.size, s_pos.dtype), _steps(src.shape), q
+        hit_key, step, todo = np.zeros(s_pos.size, d_key.dtype), _steps(src.shape), q
+        bits = _bitset(d_key, dst.shape)
         # settled: nearer than the next shell by more than rounding can move either
         margin = 16 * np.finfo(float).eps * (max(src.shape) + _BOX + 1) * sp.max()
         for off, bound in _shells(tuple(sp.tolist())):
@@ -205,8 +221,10 @@ def _nearest_surface(
             for lo in range(0, todo.size, _BLOCK):
                 b = todo[lo : lo + _BLOCK]
                 t = shift + s_key[b]
-                at = np.searchsorted(d_key, t)
-                j, i = np.nonzero(d_key.take(at, mode="clip") == t)
+                if bits is None:
+                    j, i = np.nonzero(d_key.take(np.searchsorted(d_key, t), mode="clip") == t)
+                else:
+                    j, i = np.nonzero((bits[t >> 3] >> (t & 7)) & 1)
                 c = src.coords(s_pos[b[i]])
                 diff = (c * sp - (c + off[j]) * sp) ** 2
                 hit = np.full(t.shape, np.inf)
@@ -214,16 +232,17 @@ def _nearest_surface(
                 k = hit.argmin(0)
                 best = hit[k, np.arange(b.size)]
                 better = best < dist[b]
-                dist[b[better]], row[b[better]] = best[better], at[k[better], better]
+                dist[b[better]], hit_key[b[better]] = best[better], t[k[better], better]
                 done[lo : lo + _BLOCK] = dist[b] < bound - margin
             todo = todo[~done]
             if 2 * done.sum() < done.size or todo.size == 0:
                 break
+        del bits
         if todo.size:
-            dist[todo], row[todo] = _nearest(
-                dst.coords(d_pos) * sp, src.coords(s_pos[todo]) * sp
-            )
-        near[q] = dst.label[d_pos[row[q]]]
+            dist[todo], row = _nearest(dst.coords(d_pos) * sp, src.coords(s_pos[todo]) * sp)
+            near[todo] = dst.label[d_pos[row]]
+        settled = q[near[q] == 0]  # lesion ids start at 1: no kd-tree query gave these
+        near[settled] = dst.label[d_pos[np.searchsorted(d_key, hit_key[settled])]]
     return NearestSurface(s_pos, dist, near)
 
 
@@ -236,13 +255,14 @@ def surface_distances(
     and serve both directions. A voxel on both surfaces is at distance 0;
     one intersection of the two ascending key arrays finds those. Every
     other voxel searches its grid neighbourhood first, in fixed blocks of
-    voxels, so no matrix of probes grows with the surface; only the voxels
-    that leaves open are queried against one kd-tree over the other mask's
-    whole surface.
+    voxels, so no matrix of probes grows with the surface. Each direction
+    builds the other mask's bitset while it runs, unless that surface is
+    too sparse (see ``_bitset``). Only the voxels that leaves open are
+    queried against one kd-tree over the other mask's whole surface.
     """
     sp = np.asarray(spacing, dtype=float)
     g_pos, p_pos = (np.flatnonzero(ls.surface).astype(ls.index.dtype) for ls in (gt, pred))
-    g_key, p_key = _padded_keys(gt, g_pos), _padded_keys(pred, p_pos)
+    g_key, p_key = _padded_keys(gt, gt.surface), _padded_keys(pred, pred.surface)
     g_shared, p_shared = intersect_sorted(g_key, p_key)
     return SurfaceDistances(
         sp,
@@ -279,7 +299,9 @@ def _partner_distances(
     miss = miss[np.argsort(key[miss], kind="stable")]
     pairs, first = np.unique(key[miss], return_index=True)
     ids = dst_ids[pairs]
-    t = d_pos[np.isin(dst.label[d_pos], ids)]
+    want = np.zeros(len(dst) + 1, bool)
+    want[ids] = True
+    t = d_pos[want[dst.label[d_pos]]]
     t = t[np.argsort(dst.label[t], kind="stable")]  # ascending within each lesion
     t_id = dst.label[t]
     lo, hi = np.searchsorted(t_id, ids), np.searchsorted(t_id, ids, side="right")

@@ -2,10 +2,12 @@ import csv
 import dataclasses
 import json
 import os
+import threading
 
 import numpy as np
 import pytest
 
+import lesioneval.cli
 from conftest import random_blob_mask
 from lesioneval.cli import main
 from lesioneval.errors import BadMagic, ManifestParseError
@@ -199,6 +201,33 @@ def test_jobs_determinism(tmp_path):
         assert (tmp_path / "j1" / rel).read_bytes() == (
             tmp_path / "j8" / rel
         ).read_bytes()
+
+
+def test_jobs_one_runs_on_the_calling_thread(tmp_path, monkeypatch):
+    rng = np.random.default_rng(23)
+    rows = [[n, *_make_pair(tmp_path, n, rng, identical=False)] for n in ("a", "b")]
+    manifest = _write_manifest(tmp_path, rows)
+    threads = []
+    evaluate = lesioneval.cli.evaluate_sample
+
+    def recording(row, config):
+        threads.append(threading.get_ident())
+        return evaluate(row, config)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("--jobs 1 started a thread pool")
+
+    monkeypatch.setattr(lesioneval.cli, "evaluate_sample", recording)
+    with monkeypatch.context() as m:
+        m.setattr(lesioneval.cli, "ThreadPoolExecutor", no_pool)
+        argv = ["evaluate", "--manifest", str(manifest), "--jobs", "1"]
+        assert main(argv + ["--out", str(tmp_path / "j1")]) == 0
+    assert threads == [threading.get_ident()] * 2
+    threads.clear()
+    assert main(["evaluate", "--manifest", str(manifest), "--jobs", "2",
+                 "--out", str(tmp_path / "j2")]) == 0
+    assert len(threads) == 2 and threading.get_ident() not in threads
+    assert _tree(tmp_path / "j1") == _tree(tmp_path / "j2")
 
 
 def test_model_tag_column(tmp_path):

@@ -1,3 +1,4 @@
+import math
 import sys
 import tracemalloc
 from dataclasses import astuple
@@ -632,6 +633,75 @@ def test_ring_margin_grows_with_the_coordinates():
         _ring_is_kd(gt, pred, sp)
 
 
+def _surface_distances_with_ratio(gt, pred, spacing, ratio):
+    with mock.patch.object(lesioneval.metrics, "_BITSET_RATIO", ratio):
+        return surface_distances(gt, pred, spacing)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.tuples(st.integers(1, 14), st.integers(1, 14), st.integers(1, 9)),
+    st.tuples(*[st.integers(0, 30)] * 3),
+    st.tuples(st.floats(0.005, 0.6), st.floats(0.005, 0.6)),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([6, 26]),
+    _spacings,
+)
+def test_bitset_and_binary_search_agree(box, origin, density, seed, connectivity, spacing):
+    # the same probes tested by the bitset, by binary search, and with the
+    # GT and the prediction each in the other arm: equal results, bit for bit
+    rng = np.random.default_rng(seed)
+    dims = tuple(b + o for b, o in zip(box, origin))
+    vox = [np.argwhere(rng.random(box) < d) + origin for d in density]
+    gt, pred = (_lesions_at(v, dims, spacing, connectivity) for v in vox)
+    if len(gt) and len(pred):
+        bitset_bytes = (math.prod(d + 2 * _BOX for d in dims) + 7) // 8
+        # between the two masks' bytes of bitset per byte of keys (4 a key):
+        # the denser mask's bitset is built and the sparser one's is not
+        split = bitset_bytes / (4 * math.sqrt(gt.surface.sum() * pred.surface.sum()))
+        built = []
+        with mock.patch.object(lesioneval.metrics, "_bitset", _bitset_spy(built)):
+            got = [_surface_distances_with_ratio(gt, pred, spacing, r) for r in (0, 2**40, split)]
+        if len(built) == 6:  # no direction had every voxel on both surfaces
+            mixed = [False, True] if gt.surface.sum() != pred.surface.sum() else built[4:]
+            assert built[:4] == [False, False, True, True] and sorted(built[4:]) == mixed
+        for d in got[1:]:
+            for ns, want in ((d.gt, got[0].gt), (d.pred, got[0].pred)):
+                assert ns.pos.tolist() == want.pos.tolist()
+                assert ns.dist.tolist() == want.dist.tolist()
+                assert ns.near.tolist() == want.near.tolist()
+
+
+@pytest.mark.parametrize("dense", [True, False], ids=["dense-bitset", "far-sparse-binary"])
+def test_bitset_follows_the_surface_density(dense):
+    # a dense surface takes the bitset; a few voxels in the far corner of a
+    # large grid take the binary search, and nothing grid-sized is made
+    if dense:
+        gt, pred = (
+            find_connected_components(random_blob_mask(np.random.default_rng(s), (64,) * 3, 0.4))
+            for s in (7, 8)
+        )
+    else:
+        dims = (3000, 2000, 1000)
+        corner = np.array(dims) - 6
+        gt, pred = (
+            _lesions_at(corner + np.argwhere(np.random.default_rng(s).random((6,) * 3) < 0.3),
+                        dims, (1.0, 1.0, 1.0))
+            for s in (7, 8)
+        )
+    built = []
+    tracemalloc.start()
+    try:
+        with mock.patch.object(lesioneval.metrics, "_bitset", _bitset_spy(built)):
+            surface_distances(gt, pred, (1.0, 1.0, 1.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert built == [dense, dense]
+    assert dense or peak < 2**20
+    _ring_is_kd(gt, pred, (1.0, 1.0, 1.0))
+
+
 @pytest.mark.parametrize(
     "shift, trees",
     [(1, []), (9, ["_nearest_surface"] * 2)],
@@ -652,24 +722,70 @@ def test_ring_search_settles_or_falls_back(kd_trees, rng, shift, trees):
         assert kd_trees == trees
 
 
-@pytest.mark.parametrize("spacing", [(1.0, 1.0, 1.0), (0.9, 1.1, 3.0)])
-def test_surface_distances_memory_budget(spacing):
+def _bitset_spy(built):
+    """``_bitset`` that appends to ``built`` whether it built the bitset."""
+    original = lesioneval.metrics._bitset
+
+    def spy(key, shape):
+        bits = original(key, shape)
+        built.append(bits is not None)
+        return bits
+
+    return spy
+
+
+def _masks_at_the_bitset_edge(d=128):
+    """Scattered GT voxels on a ``d``³ grid, just enough of them for each
+    bitset to be built, and a prediction of the same voxels moved one in x.
+
+    Every voxel is on its mask's surface, and each is settled by the first
+    shell, so the ring search runs no kd-tree.
+    """
+    bitset_bytes = ((d + 2 * _BOX) ** 3 + 7) // 8
+    key_bytes = 4 * lesioneval.metrics._BITSET_RATIO  # an int32 key's share of the rule
+    k = -(-bitset_bytes // key_bytes) + 50
+    rng = np.random.default_rng(3)
+    vox = np.column_stack(
+        np.unravel_index(rng.choice((d - 1) * d * d, k, replace=False), (d - 1, d, d))
+    )
+    masks = [_lesions_at(v, (d,) * 3, (1.0, 1.0, 1.0)) for v in (vox, vox + (1, 0, 0))]
+    for ls in masks:
+        assert bitset_bytes <= key_bytes * int(ls.surface.sum()) < 1.01 * bitset_bytes
+    return masks
+
+
+@pytest.mark.parametrize(
+    "spacing, at_the_edge",
+    [((1.0, 1.0, 1.0), False), ((0.9, 1.1, 3.0), False),
+     ((1.0, 1.0, 1.0), True), ((0.9, 1.1, 3.0), True)],
+    ids=["spacing0", "spacing1", "bitset-edge-spacing0", "bitset-edge-spacing1"],
+)
+def test_surface_distances_memory_budget(spacing, at_the_edge):
     # the ring search probes in fixed blocks and unravels coordinates only
     # for its hits and the kd-tree, so its transient arrays follow the
-    # surface, and its positions and keys are int32: these masks need about
-    # 58 and 54 bytes a surface voxel
-    gt, pred = (
-        find_connected_components(random_blob_mask(np.random.default_rng(s), (64,) * 3, 0.4))
-        for s in (7, 8)
-    )
+    # surface, and its positions and keys are int32: the blob masks need
+    # about 56 and 54 bytes a surface voxel. At the edge, each direction's
+    # bitset is just inside the size rule, 16 bytes a voxel of the other
+    # mask; built one direction at a time they need about 61 and 56 bytes a
+    # voxel, and with both alive at once about 69 and 64
+    if at_the_edge:
+        gt, pred = _masks_at_the_bitset_edge()
+    else:
+        gt, pred = (
+            find_connected_components(random_blob_mask(np.random.default_rng(s), (64,) * 3, 0.4))
+            for s in (7, 8)
+        )
     n = int(gt.surface.sum() + pred.surface.sum())
-    assert 120_000 < n < 170_000
+    assert at_the_edge or 120_000 < n < 170_000
+    built = []
     tracemalloc.start()
     try:
-        surface_distances(gt, pred, spacing)
+        with mock.patch.object(lesioneval.metrics, "_bitset", _bitset_spy(built)):
+            surface_distances(gt, pred, spacing)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert built == [True, True]
     assert peak < 64 * n
 
 
