@@ -6,8 +6,9 @@ human-writable JSON fixture format for tests:
 ``{"dims": [x, y, z], "spacing": [sx, sy, sz], "data": [0, 1, ...]}``
 with the flat data array in x-fastest order.
 
-NIfTI voxels are streamed: the file is read ``CHUNK_BYTES`` at a time into
-one reused buffer, so reading holds one chunk plus what the caller keeps.
+NIfTI voxels are streamed: the file is read in whole voxels, ``CHUNK_BYTES``
+at a time, into one reused buffer, so reading holds one chunk plus what the
+caller keeps.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .volume import Foreground, Volume, above, binarize, index_dtype
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352  # 348-byte header + 4-byte empty extension indicator
-CHUNK_BYTES = 1 << 20  # voxel bytes read per step
+CHUNK_BYTES = 1 << 20  # most voxel bytes read per step, but at least one voxel
 # deflate codes at most 258 bytes in 2 bits, so a gzip stream never inflates
 # to more than this many times its size
 MAX_INFLATE_RATIO = 1032
@@ -136,6 +137,7 @@ class _VoxelSource:
         if code not in DTYPE_BY_CODE:
             raise UnsupportedDatatype(f"{path}: datatype code {code}")
         self.dtype = DTYPE_BY_CODE[code].newbyteorder(endian)
+        self.chunk_voxels = max(CHUNK_BYTES // self.dtype.itemsize, 1)  # whole voxels per read
 
         # a zero or NaN slope means unscaled, as the NIfTI reference library
         # and nibabel read it
@@ -164,39 +166,36 @@ class _VoxelSource:
         if need > limit:
             # before any large allocation; a gzip stream is bounded by its
             # largest possible inflation, and checked exactly as it is read
-            raise TruncatedFile(f"{path}: need {need} bytes, file holds at most {limit}")
+            if self._gz:
+                raise TruncatedFile(f"{path}: need {need} bytes, file holds at most {limit}")
+            raise TruncatedFile(f"{path}: voxel data ends {need - limit} bytes early")
         self._stream.seek(offset - at, os.SEEK_CUR)
 
     def chunks(self):
         """Yield (index of the first voxel, voxel values) in file order.
 
-        The values are scaled, or a view of the reused buffer that is valid
-        until the next step. A gzip stream is then read to its end in the
-        same buffer, which checks its CRC without holding what follows.
+        Each step reads ``chunk_voxels`` whole voxels, or the rest. A
+        buffered read fills its request unless the stream ends, so a short
+        one means the file ends early. The values are scaled, or a view of
+        the reused buffer that is valid until the next step. A gzip stream is
+        then read to its end in the same buffer, which checks its CRC without
+        holding what follows.
         """
         itemsize = self.dtype.itemsize
-        buf = bytearray(max(CHUNK_BYTES, itemsize))
+        buf = bytearray(self.chunk_voxels * itemsize)
         view = memoryview(buf)
-        left = self.nvox * itemsize
-        have = 0  # bytes of a voxel split between two reads
-        first = 0
         with _stream_errors(self.path):
-            while left:
-                got = self._stream.readinto(view[have : have + min(len(buf) - have, left)])
-                if not got:
+            for first in range(0, self.nvox, self.chunk_voxels):
+                want = min(self.chunk_voxels, self.nvox - first) * itemsize
+                got = self._stream.readinto(view[:want])
+                if got < want:
+                    left = (self.nvox - first) * itemsize - got
                     raise TruncatedFile(f"{self.path}: voxel data ends {left} bytes early")
-                left -= got
-                have += got
-                n, split = divmod(have, itemsize)
-                if n:
-                    chunk = np.frombuffer(buf, self.dtype, count=n)
-                    if self.scale is not None:
-                        chunk = chunk * self.scale[0]
-                        chunk += self.scale[1]
-                    yield first, chunk
-                    first += n
-                    buf[:split] = buf[have - split : have]
-                    have = split
+                chunk = np.frombuffer(buf, self.dtype, count=want // itemsize)
+                if self.scale is not None:
+                    chunk = chunk * self.scale[0]
+                    chunk += self.scale[1]
+                yield first, chunk
             while self._gz and self._stream.readinto(view):
                 pass
 
@@ -266,7 +265,7 @@ def read_foreground(path: str, threshold: float = 0.5) -> Foreground:
         return Foreground.from_mask(binarize(_read_json_fixture(path), threshold))
     with _VoxelSource(path) as src:
         # one mask for every chunk: a fresh one per chunk costs more than the compare
-        mask = np.empty(max(CHUNK_BYTES // src.dtype.itemsize, 1), bool)
+        mask = np.empty(src.chunk_voxels, bool)
         dtype = index_dtype(src.dims)
         hits = [
             np.flatnonzero(above(chunk, threshold, path, mask[: chunk.size])).astype(dtype)

@@ -71,10 +71,14 @@ def _dense(path, threshold):
     return np.flatnonzero(read_volume(path).data.T > threshold)
 
 
-@pytest.mark.parametrize("chunk", [None, 11], ids=["default-chunk", "11-byte-chunk"])
+@pytest.mark.parametrize(
+    "chunk", [None, 11, 3], ids=["default-chunk", "11-5-2-1-voxel-chunks", "one-voxel-floor"]
+)
 @pytest.mark.parametrize("container", ["nii", "nii.gz", "pair"])
 def test_read_foreground_equals_dense_threshold(tmp_path, monkeypatch, container, chunk):
-    # an 11-byte chunk is no multiple of 2, 4 or 8, so voxels split across reads
+    # 11 bytes hold 11, 5, 2 or 1 whole voxels of a 1-, 2-, 4- or 8-byte
+    # dtype, so the 60 voxels take several reads and end in a shorter one;
+    # 3 bytes hold no 4- or 8-byte voxel, so those are read one at a time
     if chunk is not None:
         monkeypatch.setattr(nifti, "CHUNK_BYTES", chunk)
     rng = np.random.default_rng(8)
@@ -93,6 +97,23 @@ def test_read_foreground_equals_dense_threshold(tmp_path, monkeypatch, container
     data = _sample(np.int16, rng, False)
     p = _write(tmp_path, data, container, ">", (2.0, 1.0))
     assert np.array_equal(read_volume(p).data, data * 2.0 + 1.0)
+
+
+@pytest.mark.parametrize("container", ["nii", "nii.gz"])
+def test_truncated_file_names_the_missing_bytes(tmp_path, monkeypatch, container):
+    # 60 float32 voxels in 16-voxel chunks, cut 10 bytes into the second chunk;
+    # a gzip stream is found short as it is read, a plain file by its size
+    monkeypatch.setattr(nifti, "CHUNK_BYTES", 64)
+    data = _sample(np.float32, np.random.default_rng(5), False)
+    p = Path(_write(tmp_path, data, container))
+    raw = gzip.decompress(p.read_bytes()) if container == "nii.gz" else p.read_bytes()
+    cut = raw[: len(raw) - data.nbytes + 64 + 10]
+    p.write_bytes(gzip.compress(cut, mtime=0) if container == "nii.gz" else cut)
+    missing = len(raw) - len(cut)
+    assert missing == 240 - 74
+    for read in (read_foreground, read_volume):
+        with pytest.raises(TruncatedFile, match=f"voxel data ends {missing} bytes early"):
+            read(str(p))
 
 
 @pytest.mark.parametrize("t", THRESHOLDS)
